@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race lint lint-ssa lint-write-golden staticcheck govulncheck
+.PHONY: all build test race bench-test lint lint-ssa lint-write-golden staticcheck govulncheck
 
 all: build test lint
 
@@ -12,6 +12,14 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The repo benchmark (BENCHMARK.json) is its own module under benchmark/, so
+# build/test above do not compile it. Vet it, run its tests, and smoke one
+# observed workload for two seconds without the traced pass.
+bench-test:
+	$(GO) vet -C benchmark ./...
+	$(GO) test -C benchmark ./...
+	bash benchmark/run.sh --workload real_observed --seconds 2 --trace 0
 
 # Static analysis (DESIGN.md S20/S25): the project's own analyzer suite —
 # determinism, poolpair, metricnames, lockcall, statusexhaustive, plus the

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"rpcoib/internal/bench"
+	"rpcoib/internal/core"
 	"rpcoib/internal/exec"
 	"rpcoib/internal/transport"
 	"rpcoib/internal/wire"
@@ -23,7 +24,7 @@ import (
 func BenchmarkTable1Profile(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res := bench.Table1Profile(nil, 1)
-		rows := res.Tracer.SendRows()
+		rows := core.SendRows(res.Profile)
 		if len(rows) < 10 {
 			b.Fatalf("only %d profiled call kinds", len(rows))
 		}

@@ -5,32 +5,15 @@ package main
 
 import (
 	"flag"
-	"fmt"
 	"os"
 
 	"rpcoib/internal/bench"
 )
 
 func main() {
-	metricsPath := flag.String("metrics", "", "write a JSONL metrics event log to this path")
-	tracePath := flag.String("trace", "", "stream a JSONL distributed trace to this path (analyze with rpctrace)")
-	traceSample := flag.Int("trace-sample", 0, "with -trace: keep 1 trace in N (0 or 1 keeps all)")
-	traceTailMS := flag.Int("trace-tail-ms", 0, "with -trace: keep only traces whose root span took >= this many ms")
+	harness := bench.RegisterFlags(flag.CommandLine, false)
 	flag.Parse()
-	if *metricsPath != "" {
-		bench.EnableMetrics()
-	}
-	if err := bench.EnableTracingFromFlags(*tracePath, *traceSample, *traceTailMS); err != nil {
-		fmt.Fprintf(os.Stderr, "trace: %v\n", err)
-		os.Exit(2)
-	}
+	harness.Start()
 	bench.Fig6bCloudBurst(os.Stdout)
-	if err := bench.WriteMetricsReport(*metricsPath); err != nil {
-		fmt.Fprintf(os.Stderr, "write metrics: %v\n", err)
-		os.Exit(1)
-	}
-	if err := bench.CloseTrace(); err != nil {
-		fmt.Fprintf(os.Stderr, "close trace: %v\n", err)
-		os.Exit(1)
-	}
+	harness.Finish()
 }

@@ -19,18 +19,9 @@ func main() {
 	records := flag.String("records", "100000,150000,200000,250000,300000",
 		"comma-separated record counts")
 	ops := flag.Int("ops", 640_000, "total operation count (paper: 640K)")
-	metricsPath := flag.String("metrics", "", "write a JSONL metrics event log to this path")
-	tracePath := flag.String("trace", "", "stream a JSONL distributed trace to this path (analyze with rpctrace)")
-	traceSample := flag.Int("trace-sample", 0, "with -trace: keep 1 trace in N (0 or 1 keeps all)")
-	traceTailMS := flag.Int("trace-tail-ms", 0, "with -trace: keep only traces whose root span took >= this many ms")
+	harness := bench.RegisterFlags(flag.CommandLine, false)
 	flag.Parse()
-	if *metricsPath != "" {
-		bench.EnableMetrics()
-	}
-	if err := bench.EnableTracingFromFlags(*tracePath, *traceSample, *traceTailMS); err != nil {
-		fmt.Fprintf(os.Stderr, "trace: %v\n", err)
-		os.Exit(2)
-	}
+	harness.Start()
 
 	var recordCounts []int
 	for _, s := range strings.Split(*records, ",") {
@@ -63,12 +54,5 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown mix %q\n", *mixFlag)
 		os.Exit(2)
 	}
-	if err := bench.WriteMetricsReport(*metricsPath); err != nil {
-		fmt.Fprintf(os.Stderr, "write metrics: %v\n", err)
-		os.Exit(1)
-	}
-	if err := bench.CloseTrace(); err != nil {
-		fmt.Fprintf(os.Stderr, "close trace: %v\n", err)
-		os.Exit(1)
-	}
+	harness.Finish()
 }

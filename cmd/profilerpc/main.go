@@ -11,7 +11,7 @@ import (
 	"os"
 
 	"rpcoib/internal/bench"
-	"rpcoib/internal/faultsim"
+	"rpcoib/internal/core"
 	"rpcoib/internal/metrics"
 )
 
@@ -19,29 +19,9 @@ func main() {
 	experiment := flag.String("experiment", "all", "table1 | fig1 | fig3 | metrics | all")
 	dataGB := flag.Int("data-gb", 4, "Sort input size in GB for table1/fig3 (paper: 4)")
 	iters := flag.Int("iters", 20, "calls per Figure 1 payload point")
-	metricsPath := flag.String("metrics", "", "write a JSONL metrics event log to this path")
-	faultsPath := flag.String("faults", "", "inject faults from this JSON plan (see internal/faultsim)")
-	tracePath := flag.String("trace", "", "stream a JSONL distributed trace to this path (analyze with rpctrace)")
-	traceSample := flag.Int("trace-sample", 0, "with -trace: keep 1 trace in N (0 or 1 keeps all)")
-	traceTailMS := flag.Int("trace-tail-ms", 0, "with -trace: keep only traces whose root span took >= this many ms")
+	harness := bench.RegisterFlags(flag.CommandLine, true)
 	flag.Parse()
-	if *metricsPath != "" {
-		bench.EnableMetrics()
-	}
-	if err := bench.EnableTracingFromFlags(*tracePath, *traceSample, *traceTailMS); err != nil {
-		fmt.Fprintf(os.Stderr, "trace: %v\n", err)
-		os.Exit(2)
-	}
-	if *faultsPath != "" {
-		plan, err := faultsim.LoadPlan(*faultsPath)
-		if err == nil {
-			err = bench.SetFaultPlan(plan)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "faults: %v\n", err)
-			os.Exit(2)
-		}
-	}
+	harness.Start()
 
 	switch *experiment {
 	case "table1":
@@ -56,8 +36,8 @@ func main() {
 		res := bench.Table1Profile(os.Stdout, *dataGB)
 		fmt.Println()
 		fmt.Println("Buffer-allocation share of receive time, per call kind:")
-		for _, k := range res.Tracer.RecvKeys() {
-			fmt.Printf("  %-52s %6.1f%%\n", k.String(), 100*res.Tracer.AllocRatioFor(k))
+		for _, a := range core.AllocShares(res.Profile) {
+			fmt.Printf("  %-52s %6.1f%%\n", a.Kind.String(), 100*a.Ratio())
 		}
 		fmt.Println()
 		fmt.Println("Metrics registry after the Sort run:")
@@ -75,12 +55,5 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *experiment)
 		os.Exit(2)
 	}
-	if err := bench.WriteMetricsReport(*metricsPath); err != nil {
-		fmt.Fprintf(os.Stderr, "write metrics: %v\n", err)
-		os.Exit(1)
-	}
-	if err := bench.CloseTrace(); err != nil {
-		fmt.Fprintf(os.Stderr, "close trace: %v\n", err)
-		os.Exit(1)
-	}
+	harness.Finish()
 }

@@ -21,10 +21,7 @@ type hammerScale struct {
 
 // runHammer executes the S22 scale scenario (-experiment=hammer): a
 // NameNode hammer on the sharded kernel, with snapshot deltas streamed to
-// -metrics-stream in constant memory. The wall-clock/allocation record lands
-// in the perf trajectory (-bench-json) under "scale_hammer" — or, with
-// -hammer-scaleout, "scale_hammer_scaleout" ("scale_hammer_1m" at a million
-// clients or more, the S23 soak row).
+// -metrics-stream in constant memory.
 func runHammer(shards, nodes, clients int, duration time.Duration, streamPath string, scale hammerScale) error {
 	var sink *metrics.StreamSink
 	if streamPath != "" {
@@ -40,24 +37,15 @@ func runHammer(shards, nodes, clients int, duration time.Duration, streamPath st
 		Duration:    duration,
 		MetricsSink: sink,
 	}
-	name := "scale_hammer"
 	if scale.on {
 		cfg.ScaleOut = true
 		cfg.QPMuxCap = scale.muxCap
 		cfg.ConnCacheCap = scale.connCache
 		cfg.SRQDepth = scale.srqDepth
 		cfg.MemBudget = scale.budget
-		name = "scale_hammer_scaleout"
-		if clients >= 1_000_000 {
-			name = "scale_hammer_1m"
-		}
 	}
-	var res bench.HammerResult
 	start := time.Now()
-	bench.MeasurePerf(name, func() int64 {
-		res = bench.RunHammer(cfg)
-		return res.Calls
-	})
+	res := bench.RunHammer(cfg)
 	bench.HammerReport(os.Stdout, cfg, res, time.Since(start))
 	if sink != nil {
 		if err := sink.Close(); err != nil {

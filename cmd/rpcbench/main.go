@@ -12,14 +12,12 @@ import (
 	"time"
 
 	"rpcoib/internal/bench"
-	"rpcoib/internal/faultsim"
 )
 
 func main() {
 	experiment := flag.String("experiment", "all",
 		"which experiment to run: latency | throughput | threshold | pool | readers | hammer | all")
 	iters := flag.Int("iters", 200, "calls per measurement")
-	metricsPath := flag.String("metrics", "", "write a JSONL metrics event log to this path")
 	shards := flag.Int("shards", 1, "hammer: shard count for the sharded kernel")
 	hammerNodes := flag.Int("hammer-nodes", 1000, "hammer: cluster size incl. the NameNode")
 	hammerClients := flag.Int("hammer-clients", 100000, "hammer: total closed-loop clients")
@@ -30,72 +28,34 @@ func main() {
 	hammerSRQDepth := flag.Int("hammer-srq-depth", 0, "hammer: shared receive queue depth (0 = 8x handlers)")
 	hammerBudget := flag.Int64("hammer-budget-bytes", 0, "hammer: registered recv-memory budget in bytes (0 = depth x buffer size)")
 	metricsStream := flag.String("metrics-stream", "", "hammer: stream snapshot-delta JSONL to this path (fold with metrics.FoldStream)")
-	faultsPath := flag.String("faults", "", "inject faults from this JSON plan (see internal/faultsim)")
-	tracePath := flag.String("trace", "", "stream a JSONL distributed trace to this path (analyze with rpctrace)")
-	traceSample := flag.Int("trace-sample", 0, "with -trace: keep 1 trace in N (0 or 1 keeps all)")
-	traceTailMS := flag.Int("trace-tail-ms", 0, "with -trace: keep only traces whose root span took >= this many ms")
-	benchJSON := flag.String("bench-json", "", "write a perf-trajectory JSON (host wall clock + allocs per experiment) to this path")
+	harness := bench.RegisterFlags(flag.CommandLine, true)
 	flag.Parse()
-	if *metricsPath != "" {
-		bench.EnableMetrics()
-	}
-	if err := bench.EnableTracingFromFlags(*tracePath, *traceSample, *traceTailMS); err != nil {
-		fmt.Fprintf(os.Stderr, "trace: %v\n", err)
-		os.Exit(2)
-	}
-	if *faultsPath != "" {
-		plan, err := faultsim.LoadPlan(*faultsPath)
-		if err == nil {
-			err = bench.SetFaultPlan(plan)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "faults: %v\n", err)
-			os.Exit(2)
-		}
-	}
+	harness.Start()
 
 	run := func(name string) bool { return *experiment == "all" || *experiment == name }
 	any := false
 	if run("latency") {
-		bench.MeasurePerf("fig5a_latency", func() int64 {
-			rows := bench.Fig5aLatency(os.Stdout, nil, *iters)
-			return int64(len(rows)) * 3 * int64(*iters)
-		})
+		bench.Fig5aLatency(os.Stdout, nil, *iters)
 		fmt.Println()
 		any = true
 	}
 	if run("throughput") {
-		bench.MeasurePerf("fig5b_throughput", func() int64 {
-			var ops int64
-			for _, row := range bench.Fig5bThroughput(os.Stdout, nil, *iters) {
-				ops += 3 * int64(row.Clients) * int64(*iters)
-			}
-			return ops
-		})
+		bench.Fig5bThroughput(os.Stdout, nil, *iters)
 		fmt.Println()
 		any = true
 	}
 	if run("threshold") {
-		bench.MeasurePerf("ablation_rdma_threshold", func() int64 {
-			rows := bench.AblationRDMAThreshold(os.Stdout, 64<<10, nil, *iters)
-			return int64(len(rows)) * int64(*iters)
-		})
+		bench.AblationRDMAThreshold(os.Stdout, 64<<10, nil, *iters)
 		fmt.Println()
 		any = true
 	}
 	if run("pool") {
-		bench.MeasurePerf("ablation_pool_policy", func() int64 {
-			rows := bench.AblationPoolPolicy(os.Stdout, 512, *iters)
-			return int64(len(rows)) * int64(*iters)
-		})
+		bench.AblationPoolPolicy(os.Stdout, 512, *iters)
 		fmt.Println()
 		any = true
 	}
 	if run("readers") {
-		bench.MeasurePerf("ablation_readers", func() int64 {
-			rows := bench.AblationReaders(os.Stdout, nil, 32, *iters)
-			return int64(len(rows)) * 32 * int64(*iters)
-		})
+		bench.AblationReaders(os.Stdout, nil, 32, *iters)
 		fmt.Println()
 		any = true
 	}
@@ -116,16 +76,5 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *experiment)
 		os.Exit(2)
 	}
-	if err := bench.WriteMetricsReport(*metricsPath); err != nil {
-		fmt.Fprintf(os.Stderr, "write metrics: %v\n", err)
-		os.Exit(1)
-	}
-	if err := bench.WritePerfTrajectory(*benchJSON); err != nil {
-		fmt.Fprintf(os.Stderr, "write bench json: %v\n", err)
-		os.Exit(1)
-	}
-	if err := bench.CloseTrace(); err != nil {
-		fmt.Fprintf(os.Stderr, "close trace: %v\n", err)
-		os.Exit(1)
-	}
+	harness.Finish()
 }

@@ -5,7 +5,6 @@ package main
 
 import (
 	"flag"
-	"fmt"
 	"os"
 	"strconv"
 	"strings"
@@ -16,18 +15,9 @@ import (
 func main() {
 	slaves := flag.Int("slaves", 64, "worker node count (paper: 64)")
 	sizes := flag.String("sizes-gb", "32,64,128", "comma-separated data sizes in GB")
-	metricsPath := flag.String("metrics", "", "write a JSONL metrics event log to this path")
-	tracePath := flag.String("trace", "", "stream a JSONL distributed trace to this path (analyze with rpctrace)")
-	traceSample := flag.Int("trace-sample", 0, "with -trace: keep 1 trace in N (0 or 1 keeps all)")
-	traceTailMS := flag.Int("trace-tail-ms", 0, "with -trace: keep only traces whose root span took >= this many ms")
+	harness := bench.RegisterFlags(flag.CommandLine, false)
 	flag.Parse()
-	if *metricsPath != "" {
-		bench.EnableMetrics()
-	}
-	if err := bench.EnableTracingFromFlags(*tracePath, *traceSample, *traceTailMS); err != nil {
-		fmt.Fprintf(os.Stderr, "trace: %v\n", err)
-		os.Exit(2)
-	}
+	harness.Start()
 
 	var sizesGB []int
 	for _, s := range strings.Split(*sizes, ",") {
@@ -38,12 +28,5 @@ func main() {
 		sizesGB = append(sizesGB, gb)
 	}
 	bench.Fig6aSort(os.Stdout, *slaves, sizesGB)
-	if err := bench.WriteMetricsReport(*metricsPath); err != nil {
-		fmt.Fprintf(os.Stderr, "write metrics: %v\n", err)
-		os.Exit(1)
-	}
-	if err := bench.CloseTrace(); err != nil {
-		fmt.Fprintf(os.Stderr, "close trace: %v\n", err)
-		os.Exit(1)
-	}
+	harness.Finish()
 }

@@ -97,11 +97,7 @@ func TestFacadeSimulatedCluster(t *testing.T) {
 	}
 }
 
-func TestFacadeTracer(t *testing.T) {
-	tr := rpcoib.NewTracer()
-	if tr == nil {
-		t.Fatal("nil tracer")
-	}
+func TestFacadeLinkKinds(t *testing.T) {
 	if rpcoib.OneGigE.String() != "1GigE" || rpcoib.NativeIB.String() != "IB" {
 		t.Fatal("link kind names")
 	}

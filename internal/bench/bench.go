@@ -16,7 +16,6 @@ import (
 	"rpcoib/internal/hdfs"
 	"rpcoib/internal/mapred"
 	"rpcoib/internal/perfmodel"
-	"rpcoib/internal/trace"
 	"rpcoib/internal/transport"
 	"rpcoib/internal/wire"
 )
@@ -29,7 +28,6 @@ type HadoopCluster struct {
 	FS     *hdfs.HDFS
 	MR     *mapred.MapReduce
 	Slaves int
-	Tracer *trace.Tracer
 }
 
 // HadoopConfig parameterizes NewHadoopCluster.
@@ -37,7 +35,6 @@ type HadoopConfig struct {
 	Slaves    int
 	Mode      core.Mode // RPC mode for both HDFS and MapReduce control planes
 	BlockSize int64
-	Tracer    *trace.Tracer
 	Seed      int64
 }
 
@@ -56,15 +53,15 @@ func NewHadoopCluster(cfg HadoopConfig) *HadoopCluster {
 		NameNode: 0, DataNodes: nodes,
 		BlockSize: cfg.BlockSize, Replication: 3,
 		RPCMode: cfg.Mode, RPCKind: perfmodel.IPoIB, DataKind: perfmodel.IPoIB,
-		Tracer: cfg.Tracer, Metrics: benchReg, Trace: benchTrace,
+		Metrics: benchReg, Trace: benchTrace,
 	})
 	mr := mapred.Deploy(cl, mapred.Config{
 		JobTracker: 0, TaskTrackers: nodes,
 		MapSlots: 8, ReduceSlots: 4,
 		RPCMode: cfg.Mode, RPCKind: perfmodel.IPoIB, ShuffleKind: perfmodel.IPoIB,
-		Tracer: cfg.Tracer, Metrics: benchReg, Trace: benchTrace,
+		Metrics: benchReg, Trace: benchTrace,
 	}, fs)
-	return &HadoopCluster{CL: cl, FS: fs, MR: mr, Slaves: cfg.Slaves, Tracer: cfg.Tracer}
+	return &HadoopCluster{CL: cl, FS: fs, MR: mr, Slaves: cfg.Slaves}
 }
 
 // RunClient executes fn as a client process on the master node and drives
@@ -87,10 +84,10 @@ func netFor(cl *cluster.Cluster, mode core.Mode, kind perfmodel.LinkKind, node i
 }
 
 // startPingPongServer registers the micro-benchmark's pingpong method.
-func startPingPongServer(cl *cluster.Cluster, mode core.Mode, kind perfmodel.LinkKind, handlers int, tracer *trace.Tracer) {
+func startPingPongServer(cl *cluster.Cluster, mode core.Mode, kind perfmodel.LinkKind, handlers int) {
 	cl.SpawnOn(0, "rpc-server", func(e exec.Env) {
 		srv := core.NewServer(netFor(cl, mode, kind, 0), core.Options{
-			Mode: mode, Costs: cl.Costs, Handlers: handlers, Tracer: tracer,
+			Mode: mode, Costs: cl.Costs, Handlers: handlers,
 			Metrics: benchReg, Trace: benchTrace,
 		})
 		srv.Register("bench.PingPongProtocol", "pingpong",

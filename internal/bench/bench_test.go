@@ -71,7 +71,7 @@ func TestTable1AndFig3Runner(t *testing.T) {
 		t.Fatalf("series=%d", len(series))
 	}
 	for _, s := range series {
-		if len(s.Sizes) == 0 {
+		if s.Calls == 0 || len(s.Classes) == 0 {
 			t.Errorf("series %s empty", s.Name)
 			continue
 		}

@@ -31,6 +31,22 @@ func EnableMetrics() *metrics.Registry {
 	return benchReg
 }
 
+// observed runs one simulation and returns what it recorded, for the runners
+// whose result is a view over the registry (Table I, Figures 1 and 3). With
+// -metrics armed that is the shared registry's change across the run; without,
+// a private registry and log stand in for the run's duration, so the profile
+// never depends on a flag. run returns the simulation's virtual end time.
+func observed(run func() time.Duration) metrics.Snapshot {
+	if benchReg == nil {
+		log := benchLog
+		benchReg, benchLog = metrics.New(), &metrics.Log{}
+		defer func() { benchReg, benchLog = nil, log }()
+	}
+	before := benchReg.Snapshot(0)
+	end := run()
+	return metrics.Diff(benchReg.Snapshot(end), before)
+}
+
 // MetricsRegistry returns the shared registry, or nil when metrics are off.
 func MetricsRegistry() *metrics.Registry { return benchReg }
 

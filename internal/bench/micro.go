@@ -9,7 +9,6 @@ import (
 	"rpcoib/internal/core"
 	"rpcoib/internal/exec"
 	"rpcoib/internal/perfmodel"
-	"rpcoib/internal/trace"
 	"rpcoib/internal/wire"
 )
 
@@ -24,7 +23,7 @@ type LatencyRow struct {
 // pingPongLatency measures the warm average round trip on Cluster B.
 func pingPongLatency(mode core.Mode, kind perfmodel.LinkKind, payload, iters int) time.Duration {
 	cl := newCluster(cluster.ClusterB())
-	startPingPongServer(cl, mode, kind, core.DefaultHandlers, nil)
+	startPingPongServer(cl, mode, kind, core.DefaultHandlers)
 	var avg time.Duration
 	cl.SpawnOn(1, "client", func(e exec.Env) {
 		e.Sleep(time.Millisecond)
@@ -89,7 +88,7 @@ type ThroughputRow struct {
 // clients spread over 8 nodes, as in the paper.
 func throughput(mode core.Mode, kind perfmodel.LinkKind, clients, callsPerClient int) float64 {
 	cl := newCluster(cluster.ClusterB())
-	startPingPongServer(cl, mode, kind, 8, nil)
+	startPingPongServer(cl, mode, kind, 8)
 	done := 0
 	var finish time.Duration
 	for i := 0; i < clients; i++ {
@@ -159,24 +158,25 @@ func Fig1AllocRatio(w io.Writer, payloads []int, iters int) []AllocRatioRow {
 	Fprintf(w, "Figure 1: buffer allocation time / call receive time (default RPC)\n")
 	Fprintf(w, "%10s %10s %10s\n", "payload", "1GigE", "IPoIB")
 	measure := func(kind perfmodel.LinkKind, payload int) float64 {
-		tracer := trace.New()
-		cl := newCluster(cluster.ClusterB())
-		startPingPongServer(cl, core.ModeBaseline, kind, core.DefaultHandlers, tracer)
-		cl.SpawnOn(1, "client", func(e exec.Env) {
-			e.Sleep(time.Millisecond)
-			client := core.NewClient(netFor(cl, core.ModeBaseline, kind, 1),
-				core.Options{Mode: core.ModeBaseline, Costs: cl.Costs, Metrics: benchReg, Trace: benchTrace})
-			param := &wire.BytesWritable{Value: make([]byte, payload)}
-			var reply wire.BytesWritable
-			for i := 0; i < iters; i++ {
-				if err := client.Call(e, "node0:9000", "bench.PingPongProtocol", "pingpong", param, &reply); err != nil {
-					panic(err)
+		return core.AllocRatio(observed(func() time.Duration {
+			cl := newCluster(cluster.ClusterB())
+			startPingPongServer(cl, core.ModeBaseline, kind, core.DefaultHandlers)
+			cl.SpawnOn(1, "client", func(e exec.Env) {
+				e.Sleep(time.Millisecond)
+				client := core.NewClient(netFor(cl, core.ModeBaseline, kind, 1),
+					core.Options{Mode: core.ModeBaseline, Costs: cl.Costs, Metrics: benchReg, Trace: benchTrace})
+				param := &wire.BytesWritable{Value: make([]byte, payload)}
+				var reply wire.BytesWritable
+				for i := 0; i < iters; i++ {
+					if err := client.Call(e, "node0:9000", "bench.PingPongProtocol", "pingpong", param, &reply); err != nil {
+						panic(err)
+					}
 				}
-			}
-		})
-		end := cl.RunUntil(10 * time.Minute)
-		recordRun(fmt.Sprintf("fig1_alloc_ratio/kind=%s/payload=%d", kind, payload), end)
-		return tracer.AllocRatio()
+			})
+			end := cl.RunUntil(10 * time.Minute)
+			recordRun(fmt.Sprintf("fig1_alloc_ratio/kind=%s/payload=%d", kind, payload), end)
+			return end
+		}))
 	}
 	rows := make([]AllocRatioRow, 0, len(payloads))
 	for _, p := range payloads {

@@ -6,16 +6,19 @@ import (
 	"sort"
 	"time"
 
+	"rpcoib/internal/core"
 	"rpcoib/internal/exec"
 	"rpcoib/internal/hdfs"
 	"rpcoib/internal/mapred"
-	"rpcoib/internal/trace"
+	"rpcoib/internal/metrics"
 	"rpcoib/internal/workloads"
 )
 
-// Table1Result carries the profiling run behind Table I and Figure 3.
+// Table1Result carries the profiling run behind Table I and Figure 3: what
+// the Sort job recorded in the metrics registry, read through the core views
+// (core.SendRows, core.SizeLocalityOf).
 type Table1Result struct {
-	Tracer   *trace.Tracer
+	Profile  metrics.Snapshot
 	SortTime time.Duration
 }
 
@@ -23,76 +26,63 @@ type Table1Result struct {
 // nodes (1 master + 8 slaves) with the default (socket) Hadoop RPC, RPC
 // invocation profiling enabled.
 func Table1Profile(w io.Writer, dataGB int) *Table1Result {
-	tracer := trace.New()
-	hc := NewHadoopCluster(HadoopConfig{Slaves: 8, Tracer: tracer})
-	res := &Table1Result{Tracer: tracer}
-	end := hc.RunClient(6*time.Hour, func(e exec.Env) {
-		if _, err := workloads.RandomWriter(e, hc.MR, 0, hc.Slaves, int64(dataGB)*GB, "/rw"); err != nil {
-			panic(err)
-		}
-		job, err := workloads.Sort(e, hc.MR, hc.FS, 0, "/rw", "/sort-out", hc.Slaves*4)
-		if err != nil {
-			panic(err)
-		}
-		res.SortTime = job.Duration
-		hc.MR.Stop()
-		hc.FS.Stop()
+	res := &Table1Result{}
+	res.Profile = observed(func() time.Duration {
+		hc := NewHadoopCluster(HadoopConfig{Slaves: 8})
+		end := hc.RunClient(6*time.Hour, func(e exec.Env) {
+			if _, err := workloads.RandomWriter(e, hc.MR, 0, hc.Slaves, int64(dataGB)*GB, "/rw"); err != nil {
+				panic(err)
+			}
+			job, err := workloads.Sort(e, hc.MR, hc.FS, 0, "/rw", "/sort-out", hc.Slaves*4)
+			if err != nil {
+				panic(err)
+			}
+			res.SortTime = job.Duration
+			hc.MR.Stop()
+			hc.FS.Stop()
+		})
+		recordRun(fmt.Sprintf("table1_profile/gb=%d", dataGB), end)
+		return end
 	})
-	recordRun(fmt.Sprintf("table1_profile/gb=%d", dataGB), end)
 	if w != nil {
 		Fprintf(w, "Table I: RPC invocation profiling in a MapReduce Sort job (%d GB, 9 nodes)\n", dataGB)
-		Fprintf(w, "%s", tracer.FormatTable())
+		Fprintf(w, "%s", core.FormatTableI(res.Profile))
 		Fprintf(w, "(sort job time: %v)\n", res.SortTime)
 	}
 	return res
 }
 
-// Fig3Series is one Figure 3 line: a call kind's message-size sequence and
-// its locality statistics.
+// Fig3Series is one Figure 3 line: a call kind's spread over the size
+// classes and its locality.
 type Fig3Series struct {
-	Name     string
-	Key      trace.Key
-	Sizes    []int
-	Dropped  int64 // samples lost to the tracer's per-key retention cap
-	Locality float64
-	Classes  map[int]int
+	Name string
+	Kind core.CallKind
+	core.SizeLocality
 }
 
 // Fig3SizeLocality extracts the paper's three series — JT heartbeat,
 // TT statusUpdate, NN getFileInfo — from a Table I profiling run.
 func Fig3SizeLocality(w io.Writer, res *Table1Result) []Fig3Series {
-	targets := []struct {
-		name string
-		key  trace.Key
-	}{
-		{"JT_heartbeat", trace.Key{Protocol: mapred.InterTrackerProtocol, Method: "heartbeat"}},
-		{"TT_statusUpdate", trace.Key{Protocol: mapred.UmbilicalProtocol, Method: "statusUpdate"}},
-		{"NN_getFileInfo", trace.Key{Protocol: hdfs.ClientProtocol, Method: "getFileInfo"}},
+	series := []Fig3Series{
+		{Name: "JT_heartbeat", Kind: core.CallKind{Protocol: mapred.InterTrackerProtocol, Method: "heartbeat"}},
+		{Name: "TT_statusUpdate", Kind: core.CallKind{Protocol: mapred.UmbilicalProtocol, Method: "statusUpdate"}},
+		{Name: "NN_getFileInfo", Kind: core.CallKind{Protocol: hdfs.ClientProtocol, Method: "getFileInfo"}},
 	}
 	Fprintf(w, "Figure 3: message size locality (fraction of consecutive calls in the same size class)\n")
 	Fprintf(w, "%-18s %8s %9s  size-class histogram\n", "series", "calls", "locality")
-	series := make([]Fig3Series, 0, len(targets))
-	for _, tgt := range targets {
-		sizes := res.Tracer.Sizes(tgt.key)
-		loc, classes := trace.LocalityStats(sizes)
-		s := Fig3Series{Name: tgt.name, Key: tgt.key, Sizes: sizes,
-			Dropped: res.Tracer.Dropped(tgt.key), Locality: loc, Classes: classes}
-		series = append(series, s)
-		if w != nil {
-			keys := make([]int, 0, len(classes))
-			for k := range classes {
-				keys = append(keys, k)
-			}
-			sort.Ints(keys)
-			Fprintf(w, "%-18s %8d %8.1f%%  ", tgt.name, len(sizes), 100*loc)
-			for _, k := range keys {
-				Fprintf(w, "%dB:%d ", k, classes[k])
-			}
-			if s.Dropped > 0 {
-				Fprintf(w, "(+%d samples beyond retention cap)", s.Dropped)
-			}
-			Fprintf(w, "\n")
+	for i := range series {
+		s := &series[i]
+		s.SizeLocality = core.SizeLocalityOf(res.Profile, s.Kind)
+		classes := make([]int, 0, len(s.Classes))
+		for c := range s.Classes {
+			classes = append(classes, c)
 		}
+		sort.Ints(classes)
+		Fprintf(w, "%-18s %8d %8.1f%%  ", s.Name, s.Calls, 100*s.Locality)
+		for _, c := range classes {
+			Fprintf(w, "%dB:%d ", c, s.Classes[c])
+		}
+		Fprintf(w, "\n")
 	}
 	return series
 }

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"rpcoib/internal/exec"
-	"rpcoib/internal/trace"
 	"rpcoib/internal/tracing"
 	"rpcoib/internal/transport"
 	"rpcoib/internal/wire"
@@ -79,7 +78,7 @@ type Client struct {
 	railSets map[string]*railSet // per peer, multi-rail networks only
 	idSeq    atomic.Int32
 	m        clientMetrics
-	keys     keyCache
+	kinds    kindCache
 
 	// Stats counts issued calls and failures.
 	Stats ClientStats
@@ -192,7 +191,7 @@ func (c *Client) connection(e exec.Env, addr string) (*Connection, error) {
 	c.mu.Lock()
 	conn := c.conns[key]
 	c.mu.Unlock()
-	if conn != nil && !conn.closed {
+	if conn != nil && !conn.isClosed() {
 		return conn, nil
 	}
 	if conn != nil {
@@ -382,9 +381,10 @@ func (c *Client) CallAsync(e exec.Env, addr, protocol, method string, param, rep
 // must complete by; it rides the request header so the server can drop the
 // call undispatched once it has expired.
 func (c *Client) issue(e exec.Env, addr, protocol, method string, param, reply wire.Writable, timeout, deadline time.Duration) *Future {
+	kind := c.kind(protocol, method)
 	c.Stats.Calls.Add(1)
 	c.m.calls.Inc()
-	c.m.issued(protocol, method).Inc()
+	kind.issued.Inc()
 	callStart := e.Now()
 	tr := c.opts.Trace
 	span := tr.Start("client.call", "client", tracing.ContextOf(e), callStart)
@@ -395,7 +395,7 @@ func (c *Client) issue(e exec.Env, addr, protocol, method string, param, reply w
 	}
 	conn, err := c.connection(e, addr)
 	if err != nil {
-		return c.failedFutureSpan(e, span, protocol, method, err)
+		return c.failedFutureSpan(e, span, kind, err)
 	}
 	if span != nil && conn.fallback {
 		span.SetAttr("transport", "fallback")
@@ -406,62 +406,60 @@ func (c *Client) issue(e exec.Env, addr, protocol, method string, param, reply w
 	conn.touch(callStart)
 	id := c.idSeq.Add(1)
 	f := &Future{
-		c: c, conn: conn, id: id,
-		protocol: protocol, method: method,
+		c: c, conn: conn, id: id, kind: kind,
 		start: callStart, timeout: timeout, deadline: deadline,
 		reply: reply, replyQ: e.NewQueue(1), span: span,
 	}
 	conn.addCall(id, f)
 
 	conn.sendMu.lock(e)
-	if conn.closed {
+	if conn.isClosed() {
 		conn.sendMu.unlock()
 		conn.takeCall(id)
-		return c.failedFutureSpan(e, span, protocol, method, ErrClosed)
+		return c.failedFutureSpan(e, span, kind, ErrClosed)
 	}
-	var sample trace.SendSample
-	sample.Key = trace.Key{Protocol: protocol, Method: method}
 	sendStart := e.Now()
 	tw := traceWireOf(span)
+	var st sent
 	if c.opts.Mode == ModeRPCoIB {
-		err = c.sendRPCoIB(e, conn, id, deadline, tw, protocol, method, param, &sample)
+		st, err = c.sendRPCoIB(e, conn, id, deadline, tw, kind, param)
 	} else {
-		err = c.sendBaseline(e, conn, id, deadline, tw, protocol, method, param, &sample)
+		st, err = c.sendBaseline(e, conn, id, deadline, tw, kind, param)
 	}
 	conn.sendMu.unlock()
 	if err != nil {
 		conn.takeCall(id)
 		conn.organicFail(e.Now(), err)
-		return c.failedFutureSpan(e, span, protocol, method, err)
+		return c.failedFutureSpan(e, span, kind, err)
 	}
 	if span != nil {
-		// The serialize and send windows are exactly the profiler's
-		// SendSample stage timings, re-emitted as causal child spans.
-		tr.Child(span, "client.serialize", "client", sendStart, sample.Serialize)
-		tr.Child(span, "client.send", "client", sendStart+sample.Serialize, sample.Send,
-			"bytes", strconv.Itoa(sample.MsgBytes))
+		// The serialize and send windows are the ones Table I's stage
+		// histograms observe, re-emitted as causal child spans.
+		tr.Child(span, "client.serialize", "client", sendStart, st.serialize)
+		tr.Child(span, "client.send", "client", sendStart+st.serialize, st.send,
+			"bytes", strconv.Itoa(st.bytes))
 	}
-	c.Stats.BytesOut.Add(int64(sample.MsgBytes))
-	c.m.bytesOut.Add(int64(sample.MsgBytes))
-	c.opts.Tracer.RecordSend(sample)
+	c.Stats.BytesOut.Add(int64(st.bytes))
+	c.m.bytesOut.Add(int64(st.bytes))
+	kind.observe(st)
 	return f
 }
 
 // sendBaseline is the paper's Listing 1: serialize into a fresh 32-byte
 // DataOutputBuffer (Algorithm 1 growth), copy onto the connection's stream
 // buffer behind a 4-byte length, copy heap-to-native, syscall, send.
-func (c *Client) sendBaseline(e exec.Env, conn *Connection, id int32, deadline time.Duration, tw traceWire, protocol, method string, param wire.Writable, sample *trace.SendSample) error {
+func (c *Client) sendBaseline(e exec.Env, conn *Connection, id int32, deadline time.Duration, tw traceWire, kind *clientKind, param wire.Writable) (sent, error) {
 	cost := c.cost()
 	t0 := e.Now()
 	d := wire.NewDataOutputBuffer()
 	out := wire.NewDataOutput(d)
-	encodeRequestHeader(out, id, deadline, tw, protocol, method)
+	encodeRequestHeader(out, id, deadline, tw, kind.Protocol, kind.Method)
 	if param != nil {
 		param.Write(out)
 	}
 	st := d.TakeStats()
 	c.work(e, cost.Serialize(out.Ops())+cost.Copy(d.Len())+c.bufferCost(st))
-	sample.Serialize = e.Now() - t0
+	serialize := e.Now() - t0
 
 	t1 := e.Now()
 	n := d.Len()
@@ -478,60 +476,55 @@ func (c *Client) sendBaseline(e exec.Env, conn *Connection, id int32, deadline t
 	native := append([]byte(nil), frame...) // the heap-to-native crossing
 	c.work(e, cost.HeapNative(4+n)+cost.Syscall+cost.RPCOverhead)
 	err := conn.tc.Send(e, native)
-	sample.Send = e.Now() - t1
-	sample.MsgBytes = n
-	sample.Adjustments = st.Adjustments
-	return err
+	return sent{serialize: serialize, send: e.Now() - t1, bytes: n, adjustments: st.Adjustments}, err
 }
 
 // poolKey builds the shadow-pool history key for a call kind.
 func poolKey(protocol, method string) string { return protocol + "+" + method }
 
-// callKind identifies a <protocol, method> pair without concatenation; it is
-// the comparable map key of the pool-key cache.
-type callKind struct{ protocol, method string }
-
-// keyCache interns shadow-pool history keys so the hot send path looks up a
-// struct-keyed map instead of allocating protocol+"+"+method per call.
-type keyCache struct {
+// kindCache holds the client's per-call-kind records, keyed by the struct so
+// the hot path neither concatenates protocol+"+"+method nor builds a label.
+type kindCache struct {
 	mu sync.RWMutex
-	m  map[callKind]string
+	m  map[CallKind]*clientKind
 }
 
-func (kc *keyCache) get(protocol, method, suffix string) string {
-	k := callKind{protocol, method}
+// kind returns the record of <protocol, method>, resolving it on first use.
+func (c *Client) kind(protocol, method string) *clientKind {
+	k := CallKind{protocol, method}
+	kc := &c.kinds
 	kc.mu.RLock()
-	s, ok := kc.m[k]
+	ck := kc.m[k]
 	kc.mu.RUnlock()
-	if ok {
-		return s
+	if ck != nil {
+		return ck
 	}
 	kc.mu.Lock()
+	defer kc.mu.Unlock()
 	if kc.m == nil {
-		kc.m = map[callKind]string{}
+		kc.m = map[CallKind]*clientKind{}
 	}
-	if s, ok = kc.m[k]; !ok {
-		s = poolKey(protocol, method) + suffix
-		kc.m[k] = s
+	if ck = kc.m[k]; ck == nil {
+		ck = c.m.newKind(k)
+		kc.m[k] = ck
 	}
-	kc.mu.Unlock()
-	return s
+	return ck
 }
 
 // sendRPCoIB serializes straight into a history-sized registered buffer and
 // hands it to the verbs transport with zero copies.
-func (c *Client) sendRPCoIB(e exec.Env, conn *Connection, id int32, deadline time.Duration, tw traceWire, protocol, method string, param wire.Writable, sample *trace.SendSample) error {
+func (c *Client) sendRPCoIB(e exec.Env, conn *Connection, id int32, deadline time.Duration, tw traceWire, kind *clientKind, param wire.Writable) (sent, error) {
 	cost := c.cost()
 	t0 := e.Now()
-	s := NewRDMAOutputStream(c.opts.Pool, c.keys.get(protocol, method, ""))
+	s := NewRDMAOutputStream(c.opts.Pool, kind.poolKey)
 	c.work(e, cost.PoolGet)
 	out := wire.NewDataOutput(s)
-	encodeRequestHeader(out, id, deadline, tw, protocol, method)
+	encodeRequestHeader(out, id, deadline, tw, kind.Protocol, kind.Method)
 	if param != nil {
 		param.Write(out)
 	}
 	c.work(e, cost.Serialize(out.Ops())+cost.Copy(s.Len())+c.regetCost(s))
-	sample.Serialize = e.Now() - t0
+	serialize := e.Now() - t0
 
 	t1 := e.Now()
 	buf, n := s.Buffer()
@@ -549,10 +542,7 @@ func (c *Client) sendRPCoIB(e exec.Env, conn *Connection, id int32, deadline tim
 		err = conn.tc.Send(e, append([]byte(nil), buf.Data[:n]...))
 	}
 	s.Release()
-	sample.Send = e.Now() - t1
-	sample.MsgBytes = n
-	sample.Adjustments = int64(s.Regets())
-	return err
+	return sent{serialize: serialize, send: e.Now() - t1, bytes: n, adjustments: int64(s.Regets())}, err
 }
 
 // regetCost prices the doubling re-gets a cold history record causes.

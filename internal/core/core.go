@@ -32,7 +32,6 @@ import (
 	"rpcoib/internal/exec"
 	"rpcoib/internal/metrics"
 	"rpcoib/internal/perfmodel"
-	"rpcoib/internal/trace"
 	"rpcoib/internal/tracing"
 	"rpcoib/internal/wire"
 )
@@ -88,17 +87,16 @@ type Options struct {
 	// Pool is the two-level buffer pool for ModeRPCoIB (one is created if
 	// nil). Policy ablations inject pools with non-default policies.
 	Pool *bufpool.ShadowPool
-	// Tracer, when non-nil, records per-call profiling samples.
-	Tracer *trace.Tracer
 	// Trace, when non-nil, emits per-call distributed spans (client attempt,
 	// serialize, send; server call, queue, recv, handler, reply) causally
 	// linked through the wire header's trace triple. Nil-safe end to end:
 	// untraced engines pay one nil check per call.
 	Trace *tracing.Tracer
 	// Metrics, when non-nil, receives engine-wide instrumentation: queue
-	// depths, handler occupancy, connection counts, and per-
-	// <protocol,method> stage latency histograms. Recording never perturbs
-	// simulation determinism.
+	// depths, handler occupancy, connection counts, and the per-
+	// <protocol,method> families the paper's profile is read from (Table I,
+	// Figures 1 and 3: SendRows, AllocRatio, SizeLocalityOf). Recording never
+	// perturbs simulation determinism.
 	Metrics *metrics.Registry
 	// Handlers is the server handler-thread count (DefaultHandlers if 0).
 	Handlers int

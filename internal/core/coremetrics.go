@@ -5,18 +5,28 @@ import (
 
 	"rpcoib/internal/exec"
 	"rpcoib/internal/metrics"
+	"rpcoib/internal/wire"
 )
 
-// Server-side stage names for the per-<protocol,method> latency breakdown:
-// serialize (Reader deserialization + buffer handling), transport (wire
-// occupancy of the inbound message), handle (Handler dequeue-to-enqueue),
-// respond (Responder send).
+// Stage names for the per-<protocol,method> latency breakdown. Server:
+// serialize (Reader deserialization + buffer handling), alloc (the share of
+// serialize spent allocating receive buffers, Figure 1's numerator),
+// transport (wire occupancy of the inbound message), handle (Handler
+// dequeue-to-enqueue), respond (Responder send). Client: serialize and send,
+// Table I's two time columns.
 const (
 	stageSerialize = "serialize"
+	stageAlloc     = "alloc"
 	stageTransport = "transport"
 	stageHandle    = "handle"
 	stageRespond   = "respond"
+	stageSend      = "send"
 )
+
+// unknownKind labels every call whose <protocol,method> the server does not
+// serve. The names came off the wire, so observing under them would let a
+// peer grow the registry and the pool history without bound.
+const unknownKind = "unknown"
 
 // Metric family names. Kept as package-level consts so the static analyzer
 // (rpcoiblint metricnames) can enumerate them against metric_names.golden;
@@ -56,6 +66,11 @@ const (
 	mClientCallNS           = "rpc_client_call_ns"
 	mClientIssued           = "rpc_client_issued_total"
 	mClientFailed           = "rpc_client_failed_total"
+	mClientStageNS          = "rpc_client_stage_ns"
+	mClientAdjustments      = "rpc_client_adjustments_total"
+	mClientMsgBytes         = "rpc_client_msg_bytes"
+	mClientMsgClass         = "rpc_client_msg_class"
+	mClientMsgClassRepeats  = "rpc_client_msg_class_repeats_total"
 	mClientPoolPrefix       = "rpc_client_pool"
 
 	// Multi-rail selector families. Rail-to-rail failover happens before —
@@ -106,15 +121,30 @@ func newServerMetrics(r *metrics.Registry) serverMetrics {
 	}
 }
 
-// stage returns the latency histogram for one processing stage of one call
-// kind. The registry deduplicates by name, so this is a cheap lookup after
-// the first call per <protocol,method,stage>.
-func (m *serverMetrics) stage(protocol, method, stage string) *metrics.Histogram {
-	if m.reg == nil {
-		return nil
+// methodDef is everything the server keeps per <protocol,method>: the
+// registered implementation, the shadow-pool history key of its responses,
+// and its stage histograms (nil without a registry). It is built once, at
+// Register, so the per-call path builds no label and takes no registry lock.
+type methodDef struct {
+	protocol, method string
+	newParam         func() wire.Writable
+	fn               MethodFunc
+	respKey          string
+
+	serialize, alloc, transport, handle, respond *metrics.Histogram
+}
+
+func (m *serverMetrics) newMethodDef(protocol, method string, newParam func() wire.Writable, fn MethodFunc) *methodDef {
+	md := &methodDef{protocol: protocol, method: method, newParam: newParam, fn: fn,
+		respKey: poolKey(protocol, method) + "#r"}
+	if r := m.reg; r != nil {
+		md.serialize = r.Histogram(metrics.Labels(mServerStageNS, "protocol", protocol, "method", method, "stage", stageSerialize), nil)
+		md.alloc = r.Histogram(metrics.Labels(mServerStageNS, "protocol", protocol, "method", method, "stage", stageAlloc), nil)
+		md.transport = r.Histogram(metrics.Labels(mServerStageNS, "protocol", protocol, "method", method, "stage", stageTransport), nil)
+		md.handle = r.Histogram(metrics.Labels(mServerStageNS, "protocol", protocol, "method", method, "stage", stageHandle), nil)
+		md.respond = r.Histogram(metrics.Labels(mServerStageNS, "protocol", protocol, "method", method, "stage", stageRespond), nil)
 	}
-	return m.reg.Histogram(metrics.Labels(mServerStageNS,
-		"protocol", protocol, "method", method, "stage", stage), nil)
+	return md
 }
 
 // clientMetrics holds the client's pre-resolved instruments.
@@ -182,35 +212,66 @@ func (m *clientMetrics) railCalls(rail int) *metrics.Counter {
 	return m.reg.Counter(metrics.Labels(mRailCalls, "rail", railLabel(rail)))
 }
 
-// rtt returns the per-call-kind round-trip latency histogram.
-func (m *clientMetrics) rtt(protocol, method string) *metrics.Histogram {
-	if m.reg == nil {
-		return nil
-	}
-	return m.reg.Histogram(metrics.Labels(mClientCallNS,
-		"protocol", protocol, "method", method), nil)
+// clientKind is everything the client keeps per <protocol,method>: the
+// shadow-pool history key and the kind's instruments (nil without a
+// registry). It is resolved on the kind's first call and cached, so the
+// steady-state call path builds no label and takes no registry lock.
+//
+// issued, failed and the rtt histogram's count form the balance invariant the
+// fault-injection checker asserts after every run: issued == completed +
+// failed. serialize, send and adjustments are Table I's columns; msgBytes,
+// msgClass and classRepeats are Figure 3 (see profile.go for the views).
+type clientKind struct {
+	CallKind
+	poolKey string
+
+	issued, failed  *metrics.Counter
+	rtt             *metrics.Histogram
+	serialize, send *metrics.Histogram
+	adjustments     *metrics.Counter
+	msgBytes        *metrics.Histogram
+	msgClass        *metrics.Gauge // size class of the kind's previous message
+	classRepeats    *metrics.Counter
 }
 
-// issued returns the per-call-kind attempt counter. Together with failed and
-// the rtt histogram's count it forms the balance invariant the fault-injection
-// checker asserts after every run: issued == completed + failed.
-func (m *clientMetrics) issued(protocol, method string) *metrics.Counter {
-	if m.reg == nil {
-		return nil
+func (m *clientMetrics) newKind(k CallKind) *clientKind {
+	ck := &clientKind{CallKind: k, poolKey: poolKey(k.Protocol, k.Method)}
+	if r := m.reg; r != nil {
+		ck.issued = r.Counter(metrics.Labels(mClientIssued, "protocol", k.Protocol, "method", k.Method))
+		ck.failed = r.Counter(metrics.Labels(mClientFailed, "protocol", k.Protocol, "method", k.Method))
+		ck.rtt = r.Histogram(metrics.Labels(mClientCallNS, "protocol", k.Protocol, "method", k.Method), nil)
+		ck.serialize = r.Histogram(metrics.Labels(mClientStageNS, "protocol", k.Protocol, "method", k.Method, "stage", stageSerialize), nil)
+		ck.send = r.Histogram(metrics.Labels(mClientStageNS, "protocol", k.Protocol, "method", k.Method, "stage", stageSend), nil)
+		ck.adjustments = r.Counter(metrics.Labels(mClientAdjustments, "protocol", k.Protocol, "method", k.Method))
+		ck.msgBytes = r.Histogram(metrics.Labels(mClientMsgBytes, "protocol", k.Protocol, "method", k.Method), sizeClassBounds)
+		ck.msgClass = r.Gauge(metrics.Labels(mClientMsgClass, "protocol", k.Protocol, "method", k.Method))
+		ck.classRepeats = r.Counter(metrics.Labels(mClientMsgClassRepeats, "protocol", k.Protocol, "method", k.Method))
 	}
-	return m.reg.Counter(metrics.Labels(mClientIssued,
-		"protocol", protocol, "method", method))
+	return ck
 }
 
-// failed returns the per-call-kind failure counter (timeouts, connection
-// failures, remote errors — every attempt that resolved with a non-nil
-// error).
-func (m *clientMetrics) failed(protocol, method string) *metrics.Counter {
-	if m.reg == nil {
-		return nil
+// sent is what one successful request send measured.
+type sent struct {
+	serialize, send time.Duration
+	bytes           int
+	adjustments     int64 // Algorithm-1 growths (baseline) or pool re-gets (RPCoIB)
+}
+
+// observe records one sent request. The previous size class lives in the
+// registry, not in the client, so the repeat count follows the order in which
+// all clients sharing the registry sent this kind.
+func (ck *clientKind) observe(s sent) {
+	if ck.msgBytes == nil {
+		return
 	}
-	return m.reg.Counter(metrics.Labels(mClientFailed,
-		"protocol", protocol, "method", method))
+	ck.serialize.ObserveDuration(s.serialize)
+	ck.send.ObserveDuration(s.send)
+	ck.adjustments.Add(s.adjustments)
+	ck.msgBytes.Observe(int64(s.bytes))
+	class := int64(SizeClass(s.bytes))
+	if ck.msgClass.Swap(class) == class {
+		ck.classRepeats.Inc()
+	}
 }
 
 // observeSince records e.Now()-start into h (no-op on nil histogram),

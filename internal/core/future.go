@@ -25,8 +25,7 @@ type Future struct {
 	c        *Client
 	conn     *Connection
 	id       int32
-	protocol string
-	method   string
+	kind     *clientKind
 	start    time.Duration
 	timeout  time.Duration
 	deadline time.Duration // absolute propagated deadline (0 = none)
@@ -166,7 +165,7 @@ func (f *Future) resolve(ok, timedOut bool) error {
 	if err != nil {
 		c.Stats.Errors.Add(1)
 		c.m.errors.Inc()
-		c.m.failed(f.protocol, f.method).Inc()
+		f.kind.failed.Inc()
 	} else {
 		if f.conn != nil {
 			if f.conn.fallback {
@@ -180,35 +179,33 @@ func (f *Future) resolve(ok, timedOut bool) error {
 				}
 			}
 		}
-		if h := c.m.rtt(f.protocol, f.method); h != nil {
-			// The exemplar links this latency bucket to the trace that
-			// produced it, so an rpc_client_call_ns outlier bucket points
-			// straight at a followable trace ID.
-			h.ObserveExemplar(int64(f.outAt-f.start), f.span.TraceID())
-		}
+		// The exemplar links this latency bucket to the trace that produced
+		// it, so an rpc_client_call_ns outlier bucket points straight at a
+		// followable trace ID.
+		f.kind.rtt.ObserveExemplar(int64(f.outAt-f.start), f.span.TraceID())
 	}
 	return err
 }
 
 // failedFuture returns an already-resolved future for errors hit while
 // issuing (dial failure, send failure, closed connection).
-func (c *Client) failedFuture(protocol, method string, err error) *Future {
+func (c *Client) failedFuture(kind *clientKind, err error) *Future {
 	c.Stats.Resolved.Add(1)
 	c.Stats.Errors.Add(1)
 	c.m.errors.Inc()
-	c.m.failed(protocol, method).Inc()
-	return &Future{c: c, protocol: protocol, method: method, done: true, err: err}
+	kind.failed.Inc()
+	return &Future{c: c, kind: kind, done: true, err: err}
 }
 
 // failedFutureSpan is failedFuture for a traced attempt: the span ends here
 // with the error outcome, and rides the resolved future so CallWith can
 // still parent the retry onto the failed attempt.
-func (c *Client) failedFutureSpan(e exec.Env, span *tracing.Span, protocol, method string, err error) *Future {
+func (c *Client) failedFutureSpan(e exec.Env, span *tracing.Span, kind *clientKind, err error) *Future {
 	if span != nil {
 		span.SetAttr("outcome", "error")
 		span.EndAt(e.Now())
 	}
-	f := c.failedFuture(protocol, method, err)
+	f := c.failedFuture(kind, err)
 	f.span = span
 	return f
 }

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"rpcoib/internal/exec"
-	"rpcoib/internal/trace"
 	"rpcoib/internal/tracing"
 	"rpcoib/internal/transport"
 	"rpcoib/internal/wire"
@@ -20,11 +19,6 @@ import (
 // serialized as the response value. Returned errors travel to the caller as
 // RemoteError.
 type MethodFunc func(e exec.Env, param wire.Writable) (wire.Writable, error)
-
-type methodDef struct {
-	newParam func() wire.Writable
-	fn       MethodFunc
-}
 
 // ServerStats counts server activity. CallsShed counts admissions rejected
 // with "too busy" (ShedOverload with a full call queue); CallsExpired counts
@@ -47,16 +41,17 @@ type Server struct {
 	engine
 	net       transport.Network
 	mu        sync.Mutex
-	protocols map[string]map[string]methodDef
+	protocols map[string]map[string]*methodDef // frozen by Start: read without mu
+	unknown   *methodDef                       // stands in for calls no method serves
 	callQ     exec.Queue
 	respQ     exec.Queue
 	readerSem *esema // baseline only: the Listener/Reader-pool width
 	lastReap  time.Duration
 	ln        transport.Listener
 	conns     []transport.Conn
+	started   bool // Start was called: Register is over for good
 	running   bool
 	m         serverMetrics
-	respKeys  keyCache
 
 	// Stats counts server activity.
 	Stats ServerStats
@@ -68,12 +63,14 @@ func NewServer(net transport.Network, opts Options) *Server {
 	if opts.Pool != nil {
 		opts.Pool.Instrument(opts.Metrics, mServerPoolPrefix)
 	}
-	return &Server{
+	s := &Server{
 		engine:    engine{opts: opts},
 		net:       net,
-		protocols: map[string]map[string]methodDef{},
+		protocols: map[string]map[string]*methodDef{},
 		m:         newServerMetrics(opts.Metrics),
 	}
+	s.unknown = s.m.newMethodDef(unknownKind, unknownKind, nil, nil)
+	return s
 }
 
 // Register adds method under protocol. newParam constructs the parameter
@@ -82,18 +79,18 @@ func NewServer(net transport.Network, opts Options) *Server {
 func (s *Server) Register(protocol, method string, newParam func() wire.Writable, fn MethodFunc) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.running {
+	if s.started {
 		panic("rpc: Register after Start")
 	}
 	p, ok := s.protocols[protocol]
 	if !ok {
-		p = map[string]methodDef{}
+		p = map[string]*methodDef{}
 		s.protocols[protocol] = p
 	}
 	if _, dup := p[method]; dup {
 		panic(fmt.Sprintf("rpc: duplicate method %s.%s", protocol, method))
 	}
-	p[method] = methodDef{newParam: newParam, fn: fn}
+	p[method] = s.m.newMethodDef(protocol, method, newParam, fn)
 }
 
 // Start binds the listener on port and spawns the server threads.
@@ -104,6 +101,7 @@ func (s *Server) Start(e exec.Env, port int) error {
 	}
 	s.mu.Lock()
 	s.ln = ln
+	s.started = true
 	s.running = true
 	s.mu.Unlock()
 	s.callQ = e.NewQueue(s.opts.CallQueueDepth)
@@ -150,11 +148,9 @@ func (s *Server) Stop() {
 // serverCall is one inbound invocation moving through the queues.
 type serverCall struct {
 	id       int32
-	protocol string
-	method   string
+	md       *methodDef    // the server's unknown record when no method serves the call
 	deadline time.Duration // absolute propagated deadline (0 = none)
 	param    wire.Writable
-	fn       MethodFunc
 	errStr   string // pre-invoke failure (unknown method, bad payload)
 	conn     transport.Conn
 
@@ -167,12 +163,11 @@ type serverCall struct {
 
 // response is one outbound result for the Responder.
 type response struct {
-	conn     transport.Conn
-	data     []byte            // baseline: serialized heap buffer view
-	stream   *RDMAOutputStream // RPCoIB: registered buffer to send + release
-	protocol string
-	method   string
-	span     *tracing.Span // server.call span to close after the send
+	conn   transport.Conn
+	data   []byte            // baseline: serialized heap buffer view
+	stream *RDMAOutputStream // RPCoIB: registered buffer to send + release
+	md     *methodDef
+	span   *tracing.Span // server.call span to close after the send
 }
 
 func (s *Server) listenLoop(e exec.Env) {
@@ -232,7 +227,7 @@ func (s *Server) readerLoop(e exec.Env, conn transport.Conn) {
 			in.ReadInt32() // frame length prefix
 		}
 		id, deadline, tw, protocol, method := decodeRequestHeader(in)
-		call := &serverCall{id: id, protocol: protocol, method: method, deadline: deadline, conn: conn}
+		call := &serverCall{id: id, md: s.unknown, deadline: deadline, conn: conn}
 		if tw.trace != 0 {
 			// Join the client's trace: the server.call span parents onto the
 			// client attempt span carried in the header. Untraced calls
@@ -245,8 +240,8 @@ func (s *Server) readerLoop(e exec.Env, conn transport.Conn) {
 				call.span.SetAttr("method", method)
 			}
 		}
-		if md, ok := s.lookup(protocol, method); ok {
-			call.fn = md.fn
+		if md := s.protocols[protocol][method]; md != nil {
+			call.md = md
 			call.param = md.newParam()
 			call.param.ReadFields(in)
 			if err := in.Err(); err != nil {
@@ -257,23 +252,19 @@ func (s *Server) readerLoop(e exec.Env, conn transport.Conn) {
 		}
 		s.work(e, cost.Serialize(in.Ops())+cost.Copy(n))
 		release()
-		total := e.Now() - t0
-		procDur := total
+		procDur := e.Now() - t0
 		var wireDur time.Duration
-		s.m.stage(protocol, method, stageSerialize).ObserveDuration(total)
+		call.md.serialize.ObserveDuration(procDur)
+		if baseline {
+			call.md.alloc.ObserveDuration(allocDur)
+		}
 		if wt, ok := conn.(transport.WireTimer); ok {
 			// Figure 1's measurement spans the channelReadFully loop, which
-			// drains the message at wire speed before processing begins.
+			// drains the message at wire speed before processing begins, so
+			// its receive time is the serialize plus the transport stage.
 			wireDur = wt.WireTime(n)
-			total += wireDur
-			s.m.stage(protocol, method, stageTransport).ObserveDuration(wireDur)
+			call.md.transport.ObserveDuration(wireDur)
 		}
-		s.opts.Tracer.RecordRecv(trace.RecvSample{
-			Key:      trace.Key{Protocol: protocol, Method: method},
-			MsgBytes: n,
-			Alloc:    allocDur,
-			Total:    total,
-		})
 		if call.span != nil {
 			// The paper's alloc+deserialize stage: the Reader's processing
 			// window, with the Figure-1 allocation share and the inbound wire
@@ -347,9 +338,9 @@ func (s *Server) readerLoop(e exec.Env, conn transport.Conn) {
 // hands it to the Responder. It reports false when the server is stopping.
 func (s *Server) sendControl(e exec.Env, call *serverCall, status byte) bool {
 	cost := s.cost()
-	resp := &response{conn: call.conn, protocol: call.protocol, method: call.method, span: call.span}
+	resp := &response{conn: call.conn, md: call.md, span: call.span}
 	if s.opts.Mode == ModeRPCoIB {
-		st := NewRDMAOutputStream(s.opts.Pool, s.respKeys.get(call.protocol, call.method, "#r"))
+		st := NewRDMAOutputStream(s.opts.Pool, call.md.respKey)
 		s.work(e, cost.PoolGet)
 		out := wire.NewDataOutput(st)
 		writeControlBody(out, call.id, status, s.opts.BusyBackoff)
@@ -375,17 +366,6 @@ func writeControlBody(out *wire.DataOutput, id int32, status byte, backoff time.
 	if status == statusBusy {
 		out.WriteVLong(int64(backoff))
 	}
-}
-
-func (s *Server) lookup(protocol, method string) (methodDef, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	p, ok := s.protocols[protocol]
-	if !ok {
-		return methodDef{}, false
-	}
-	md, ok := p[method]
-	return md, ok
 }
 
 // handlerLoop drains the call queue, invokes the target function, and
@@ -433,9 +413,9 @@ func (s *Server) handlerLoop(e exec.Env) {
 			s.m.callErrors.Inc()
 		}
 
-		resp := &response{conn: call.conn, protocol: call.protocol, method: call.method, span: call.span}
+		resp := &response{conn: call.conn, md: call.md, span: call.span}
 		if s.opts.Mode == ModeRPCoIB {
-			st := NewRDMAOutputStream(s.opts.Pool, s.respKeys.get(call.protocol, call.method, "#r"))
+			st := NewRDMAOutputStream(s.opts.Pool, call.md.respKey)
 			s.work(e, cost.PoolGet)
 			out := wire.NewDataOutput(st)
 			writeResponseBody(out, call.id, value, callErr)
@@ -450,7 +430,7 @@ func (s *Server) handlerLoop(e exec.Env) {
 			s.work(e, cost.Serialize(out.Ops())+cost.Copy(d.Len())+s.bufferCost(d.TakeStats()))
 			resp.data = d.Data()
 		}
-		observeSince(s.m.stage(call.protocol, call.method, stageHandle), e, handleStart)
+		observeSince(call.md.handle, e, handleStart)
 		if call.span != nil {
 			if callErr != nil {
 				call.span.SetAttr("status", "error")
@@ -476,7 +456,7 @@ func (s *Server) invoke(e exec.Env, call *serverCall) (value wire.Writable, call
 	defer func() {
 		if r := recover(); r != nil {
 			value = nil
-			callErr = &RemoteError{Msg: fmt.Sprintf("%s.%s: server error: %v", call.protocol, call.method, r)}
+			callErr = &RemoteError{Msg: fmt.Sprintf("%s.%s: server error: %v", call.md.protocol, call.md.method, r)}
 		}
 	}()
 	he := e
@@ -487,7 +467,7 @@ func (s *Server) invoke(e exec.Env, call *serverCall) (value wire.Writable, call
 		}
 		he = henv
 	}
-	return call.fn(he, call.param)
+	return call.md.fn(he, call.param)
 }
 
 // handlerEnv wraps the handler's Env with the call's absolute deadline and
@@ -561,7 +541,7 @@ func (s *Server) responderLoop(e exec.Env) {
 			r.stream.Release()
 			s.Stats.BytesOut.Add(int64(n))
 			s.m.bytesOut.Add(int64(n))
-			observeSince(s.m.stage(r.protocol, r.method, stageRespond), e, respondStart)
+			observeSince(r.md.respond, e, respondStart)
 			s.closeCallSpan(e, r, respondStart)
 			continue
 		}
@@ -573,7 +553,7 @@ func (s *Server) responderLoop(e exec.Env) {
 		_ = r.conn.Send(e, frame)
 		s.Stats.BytesOut.Add(int64(n))
 		s.m.bytesOut.Add(int64(n))
-		observeSince(s.m.stage(r.protocol, r.method, stageRespond), e, respondStart)
+		observeSince(r.md.respond, e, respondStart)
 		s.closeCallSpan(e, r, respondStart)
 	}
 }

@@ -8,8 +8,8 @@ import (
 	"rpcoib/internal/cluster"
 	"rpcoib/internal/core"
 	"rpcoib/internal/exec"
+	"rpcoib/internal/metrics"
 	"rpcoib/internal/perfmodel"
-	"rpcoib/internal/trace"
 	"rpcoib/internal/transport"
 	"rpcoib/internal/wire"
 )
@@ -17,11 +17,11 @@ import (
 // pingPong runs the paper's micro-benchmark inside the simulator: a server
 // on node 0, one client on node 1, BytesWritable payloads, and returns the
 // average round-trip latency over iters warm calls.
-func pingPong(t *testing.T, mode core.Mode, kind perfmodel.LinkKind, payload, iters int, tracer *trace.Tracer) time.Duration {
+func pingPong(t *testing.T, mode core.Mode, kind perfmodel.LinkKind, payload, iters int, reg *metrics.Registry) time.Duration {
 	t.Helper()
 	cl := cluster.New(cluster.ClusterB())
-	serverOpts := core.Options{Mode: mode, Costs: cl.Costs, Tracer: tracer}
-	clientOpts := core.Options{Mode: mode, Costs: cl.Costs, Tracer: tracer}
+	serverOpts := core.Options{Mode: mode, Costs: cl.Costs, Metrics: reg}
+	clientOpts := core.Options{Mode: mode, Costs: cl.Costs, Metrics: reg}
 
 	netFor := func(node int) transport.Network {
 		if mode == core.ModeRPCoIB {
@@ -152,18 +152,18 @@ func TestFig5aAbsoluteAnchors(t *testing.T) {
 	check(4096, 52*time.Microsecond)
 }
 
-// TestTableIAdjustmentCounts verifies the baseline profiler sees the
-// Algorithm-1 adjustment counts Table I reports (2 for small calls).
+// TestTableIAdjustmentCounts verifies the baseline's Table I view sees the
+// Algorithm-1 adjustment counts the paper reports (2 for small calls).
 func TestTableIAdjustmentCounts(t *testing.T) {
-	tracer := trace.New()
-	pingPong(t, core.ModeBaseline, perfmodel.IPoIB, 64, 10, tracer)
-	rows := tracer.SendRows()
+	reg := metrics.New()
+	pingPong(t, core.ModeBaseline, perfmodel.IPoIB, 64, 10, reg)
+	rows := core.SendRows(reg.Snapshot(0))
 	if len(rows) == 0 {
-		t.Fatal("no trace rows")
+		t.Fatal("no Table I rows")
 	}
 	var found bool
 	for _, r := range rows {
-		if r.Key.Method == "pingpong" {
+		if r.Kind.Method == "pingpong" {
 			found = true
 			// 64B payload + header: 32->64->128 = 2 adjustments.
 			if r.AvgAdjustments < 1.5 || r.AvgAdjustments > 2.5 {
@@ -184,9 +184,9 @@ func TestTableIAdjustmentCounts(t *testing.T) {
 // substantial for MB payloads.
 func TestFig1AllocShareGrowsWithPayload(t *testing.T) {
 	ratioAt := func(payload int) float64 {
-		tracer := trace.New()
-		pingPong(t, core.ModeBaseline, perfmodel.IPoIB, payload, 10, tracer)
-		return tracer.AllocRatio()
+		reg := metrics.New()
+		pingPong(t, core.ModeBaseline, perfmodel.IPoIB, payload, 10, reg)
+		return core.AllocRatio(reg.Snapshot(0))
 	}
 	small, big := ratioAt(1024), ratioAt(2*1024*1024)
 	t.Logf("alloc ratio: 1KB=%.3f 2MB=%.3f", small, big)

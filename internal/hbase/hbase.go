@@ -18,7 +18,6 @@ import (
 	"rpcoib/internal/metrics"
 	"rpcoib/internal/netsim"
 	"rpcoib/internal/perfmodel"
-	"rpcoib/internal/trace"
 	"rpcoib/internal/tracing"
 	"rpcoib/internal/transport"
 	"rpcoib/internal/wire"
@@ -57,8 +56,6 @@ type Config struct {
 	// WriteBufferSize is the client-side Put buffer (default 2 MB, the
 	// HBase autoflush-off batching YCSB uses).
 	WriteBufferSize int64
-	// Tracer profiles HBase RPC traffic when set.
-	Tracer *trace.Tracer
 	// Trace streams distributed spans from the region-server RPC endpoints
 	// and client batch operations when set.
 	Trace *tracing.Tracer
@@ -170,7 +167,7 @@ func (h *HBase) rpcMode() core.Mode {
 func (h *HBase) rpcClient(node int) *core.Client {
 	return h.rt.Client(node, "hbase-rpc", func() *core.Client {
 		return core.NewClient(h.net(node), core.Options{
-			Mode: h.rpcMode(), Costs: h.c.Costs, Tracer: h.cfg.Tracer,
+			Mode: h.rpcMode(), Costs: h.c.Costs,
 			Metrics:     h.cfg.Metrics,
 			Trace:       h.cfg.Trace,
 			Policy:      h.cfg.RPCPolicy,
@@ -227,7 +224,7 @@ type RegionServer struct {
 
 func (rs *RegionServer) run(e exec.Env) {
 	srv := core.NewServer(rs.h.net(rs.node), core.Options{
-		Mode: rs.h.rpcMode(), Costs: rs.h.c.Costs, Tracer: rs.h.cfg.Tracer,
+		Mode: rs.h.rpcMode(), Costs: rs.h.c.Costs,
 		Metrics: rs.h.cfg.Metrics, Trace: rs.h.cfg.Trace, Handlers: 10,
 	})
 	srv.Register(RegionInterface, "get",

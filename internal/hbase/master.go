@@ -87,7 +87,7 @@ type HMaster struct {
 
 func (m *HMaster) run(e exec.Env) {
 	srv := core.NewServer(m.h.net(m.node), core.Options{
-		Mode: m.h.rpcMode(), Costs: m.h.c.Costs, Tracer: m.h.cfg.Tracer,
+		Mode: m.h.rpcMode(), Costs: m.h.c.Costs,
 		Metrics: m.h.cfg.Metrics, Trace: m.h.cfg.Trace, Handlers: 10,
 		ShedOverload: m.h.cfg.MasterShedOverload,
 		BusyBackoff:  m.h.cfg.MasterBusyBackoff,
@@ -186,7 +186,7 @@ func (h *HBase) Stop() {
 func (h *HBase) masterClient(node int) *core.Client {
 	return h.rt.Client(node, "hbase-master-rpc", func() *core.Client {
 		return core.NewClient(h.net(node), core.Options{
-			Mode: h.rpcMode(), Costs: h.c.Costs, Tracer: h.cfg.Tracer,
+			Mode: h.rpcMode(), Costs: h.c.Costs,
 			Metrics:     h.cfg.Metrics,
 			Trace:       h.cfg.Trace,
 			Policy:      h.cfg.RPCPolicy,

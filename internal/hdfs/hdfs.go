@@ -11,7 +11,6 @@ import (
 	"rpcoib/internal/metrics"
 	"rpcoib/internal/netsim"
 	"rpcoib/internal/perfmodel"
-	"rpcoib/internal/trace"
 	"rpcoib/internal/tracing"
 	"rpcoib/internal/transport"
 )
@@ -77,8 +76,6 @@ type Config struct {
 	// Handlers sizes the NameNode RPC handler pool (default 10, Hadoop's
 	// dfs.namenode.handler.count).
 	Handlers int
-	// Tracer profiles all RPC traffic when set.
-	Tracer *trace.Tracer
 	// Trace streams distributed spans from every RPC endpoint and DFSClient
 	// operation when set (see internal/tracing).
 	Trace *tracing.Tracer
@@ -160,7 +157,7 @@ func Deploy(c *cluster.Cluster, cfg Config) *HDFS {
 	c.SpawnOn(cfg.NameNode, "namenode", func(e exec.Env) {
 		h.stopQ = e.NewQueue(0)
 		srv := core.NewServer(h.rpcNet(cfg.NameNode), core.Options{
-			Mode: cfg.RPCMode, Costs: c.Costs, Tracer: cfg.Tracer,
+			Mode: cfg.RPCMode, Costs: c.Costs,
 			Metrics: cfg.Metrics, Trace: cfg.Trace, Handlers: cfg.Handlers,
 			ShedOverload: cfg.RPCShedOverload, BusyBackoff: cfg.RPCBusyBackoff,
 			Overloaded: cfg.RPCOverloaded,
@@ -243,7 +240,7 @@ func (h *HDFS) dataNet(node int) transport.Network {
 func (h *HDFS) newRPCClient(node int) *core.Client {
 	return h.rt.Client(node, "hdfs-rpc", func() *core.Client {
 		return core.NewClient(h.rpcNet(node), core.Options{
-			Mode: h.cfg.RPCMode, Costs: h.c.Costs, Tracer: h.cfg.Tracer,
+			Mode: h.cfg.RPCMode, Costs: h.c.Costs,
 			Metrics:     h.cfg.Metrics,
 			Trace:       h.cfg.Trace,
 			Policy:      h.cfg.RPCPolicy,
@@ -259,7 +256,7 @@ func (h *HDFS) newRPCClient(node int) *core.Client {
 func (h *HDFS) heartbeatClient(node int) *core.Client {
 	return h.rt.Client(node, "hdfs-rpc-hb", func() *core.Client {
 		return core.NewClient(h.rpcNet(node), core.Options{
-			Mode: h.cfg.RPCMode, Costs: h.c.Costs, Tracer: h.cfg.Tracer,
+			Mode: h.cfg.RPCMode, Costs: h.c.Costs,
 			Metrics:     h.cfg.Metrics,
 			Trace:       h.cfg.Trace,
 			CallTimeout: 2*h.cfg.HeartbeatInterval + time.Second,

@@ -8,8 +8,8 @@ import (
 	"rpcoib/internal/cluster"
 	"rpcoib/internal/core"
 	"rpcoib/internal/exec"
+	"rpcoib/internal/metrics"
 	"rpcoib/internal/perfmodel"
-	"rpcoib/internal/trace"
 )
 
 // deploy builds a small cluster with an HDFS instance: NN on node 0, DNs on
@@ -240,9 +240,9 @@ func TestDataPathKindMatters(t *testing.T) {
 	}
 }
 
-func TestHeartbeatsAndTracer(t *testing.T) {
-	tracer := trace.New()
-	deploy(t, 3, Config{Tracer: tracer, Replication: 2, HeartbeatInterval: 500 * time.Millisecond},
+func TestHeartbeatsAndProfile(t *testing.T) {
+	reg := metrics.New()
+	deploy(t, 3, Config{Metrics: reg, Replication: 2, HeartbeatInterval: 500 * time.Millisecond},
 		func(e exec.Env, h *HDFS, c *DFSClient) {
 			if err := c.CreateFile(e, "/f", 10<<20, 2); err != nil {
 				t.Error(err)
@@ -250,9 +250,10 @@ func TestHeartbeatsAndTracer(t *testing.T) {
 			e.Sleep(3 * time.Second) // let heartbeats accumulate
 			h.Stop()
 		})
-	byKey := map[string]trace.SendRow{}
-	for _, r := range tracer.SendRows() {
-		byKey[r.Key.String()] = r
+	profile := reg.Snapshot(0)
+	byKey := map[string]core.SendRow{}
+	for _, r := range core.SendRows(profile) {
+		byKey[r.Kind.String()] = r
 	}
 	for _, want := range []string{
 		"hdfs.DatanodeProtocol.sendHeartbeat",
@@ -262,7 +263,7 @@ func TestHeartbeatsAndTracer(t *testing.T) {
 		"hdfs.ClientProtocol.complete",
 	} {
 		if _, ok := byKey[want]; !ok {
-			t.Errorf("no trace rows for %s (have %v)", want, tracer.Keys())
+			t.Errorf("no Table I row for %s (have %v)", want, byKey)
 		}
 	}
 	// Heartbeats repeat: multiple samples with stable sizes (size locality).
@@ -270,10 +271,9 @@ func TestHeartbeatsAndTracer(t *testing.T) {
 	if hb.Count < 6 {
 		t.Errorf("heartbeat count=%d", hb.Count)
 	}
-	sizes := tracer.Sizes(trace.Key{Protocol: DatanodeProtocol, Method: "sendHeartbeat"})
-	frac, _ := trace.LocalityStats(sizes)
-	if frac < 0.95 {
-		t.Errorf("heartbeat size locality %.2f, want ~1.0", frac)
+	loc := core.SizeLocalityOf(profile, core.CallKind{Protocol: DatanodeProtocol, Method: "sendHeartbeat"})
+	if loc.Calls != hb.Count || loc.Locality < 0.95 {
+		t.Errorf("heartbeat size locality %+v over %d sends, want ~1.0", loc, hb.Count)
 	}
 	// Baseline Algorithm-1 adjustments on a ~150-byte heartbeat: 32->64->128->256 = 3.
 	if hb.AvgAdjustments < 2 || hb.AvgAdjustments > 4 {

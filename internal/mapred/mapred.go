@@ -11,7 +11,6 @@ import (
 	"rpcoib/internal/metrics"
 	"rpcoib/internal/netsim"
 	"rpcoib/internal/perfmodel"
-	"rpcoib/internal/trace"
 	"rpcoib/internal/tracing"
 	"rpcoib/internal/transport"
 	"rpcoib/internal/wire"
@@ -42,8 +41,6 @@ type Config struct {
 	ShuffleKind perfmodel.LinkKind
 	// HeartbeatInterval defaults to 3 s (Hadoop 0.20 cluster of this size).
 	HeartbeatInterval time.Duration
-	// Tracer profiles all RPC traffic when set.
-	Tracer *trace.Tracer
 	// Trace streams distributed spans from every RPC endpoint when set.
 	Trace *tracing.Tracer
 	// Metrics, when non-nil, instruments the JobTracker, TaskTracker, and
@@ -110,7 +107,7 @@ func Deploy(c *cluster.Cluster, cfg Config, dfs *hdfs.HDFS) *MapReduce {
 	c.SpawnOn(cfg.JobTracker, "jobtracker", func(e exec.Env) {
 		mr.stopQ = e.NewQueue(0)
 		srv := core.NewServer(mr.rpcNet(cfg.JobTracker), core.Options{
-			Mode: cfg.RPCMode, Costs: c.Costs, Tracer: cfg.Tracer,
+			Mode: cfg.RPCMode, Costs: c.Costs,
 			Metrics: cfg.Metrics, Trace: cfg.Trace, Handlers: 10,
 		})
 		mr.jt.register(srv)
@@ -174,7 +171,7 @@ func (mr *MapReduce) shuffleNet(node int) transport.Network {
 func (mr *MapReduce) newRPCClient(node int) *core.Client {
 	return mr.rt.Client(node, "mr-rpc", func() *core.Client {
 		return core.NewClient(mr.rpcNet(node), core.Options{
-			Mode: mr.cfg.RPCMode, Costs: mr.c.Costs, Tracer: mr.cfg.Tracer,
+			Mode: mr.cfg.RPCMode, Costs: mr.c.Costs,
 			Metrics:     mr.cfg.Metrics,
 			Trace:       mr.cfg.Trace,
 			Policy:      mr.cfg.RPCPolicy,

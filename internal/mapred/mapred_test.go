@@ -9,8 +9,8 @@ import (
 	"rpcoib/internal/core"
 	"rpcoib/internal/exec"
 	"rpcoib/internal/hdfs"
+	"rpcoib/internal/metrics"
 	"rpcoib/internal/perfmodel"
-	"rpcoib/internal/trace"
 )
 
 // testDeployment wires a small combined HDFS+MapReduce cluster: node 0 runs
@@ -22,7 +22,7 @@ type testDeployment struct {
 	mr *MapReduce
 }
 
-func newTestDeployment(t *testing.T, slaves int, mode core.Mode, tracer *trace.Tracer) *testDeployment {
+func newTestDeployment(t *testing.T, slaves int, mode core.Mode, reg *metrics.Registry) *testDeployment {
 	t.Helper()
 	cl := cluster.New(cluster.Config{Nodes: slaves + 2, CoresPerNode: 8, Seed: 1,
 		DiskReadBW: 110e6, DiskWriteBW: 95e6, DiskSeek: 6 * time.Millisecond})
@@ -34,14 +34,14 @@ func newTestDeployment(t *testing.T, slaves int, mode core.Mode, tracer *trace.T
 		NameNode: 0, DataNodes: nodes,
 		BlockSize: 8 << 20, Replication: 2,
 		RPCMode: mode, RPCKind: perfmodel.IPoIB, DataKind: perfmodel.IPoIB,
-		Tracer: tracer,
+		Metrics: reg,
 	})
 	mr := Deploy(cl, Config{
 		JobTracker: 0, TaskTrackers: nodes,
 		MapSlots: 4, ReduceSlots: 2,
 		RPCMode: mode, RPCKind: perfmodel.IPoIB, ShuffleKind: perfmodel.IPoIB,
 		HeartbeatInterval: time.Second,
-		Tracer:            tracer,
+		Metrics:           reg,
 	}, fs)
 	return &testDeployment{cl: cl, fs: fs, mr: mr}
 }
@@ -179,8 +179,8 @@ func TestSyntheticInputNoHDFS(t *testing.T) {
 }
 
 func TestTableIMethodMixAppears(t *testing.T) {
-	tracer := trace.New()
-	d := newTestDeployment(t, 3, core.ModeBaseline, tracer)
+	reg := metrics.New()
+	d := newTestDeployment(t, 3, core.ModeBaseline, reg)
 	client := 4
 	d.cl.SpawnOn(client, "submitter", func(e exec.Env) {
 		e.Sleep(100 * time.Millisecond)
@@ -199,9 +199,9 @@ func TestTableIMethodMixAppears(t *testing.T) {
 		}
 	})
 	d.cl.RunUntil(30 * time.Minute)
-	have := map[string]trace.SendRow{}
-	for _, r := range tracer.SendRows() {
-		have[r.Key.String()] = r
+	have := map[string]core.SendRow{}
+	for _, r := range core.SendRows(reg.Snapshot(0)) {
+		have[r.Kind.String()] = r
 	}
 	for _, want := range []string{
 		"mapred.TaskUmbilicalProtocol.getTask",

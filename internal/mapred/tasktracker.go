@@ -68,7 +68,7 @@ func newTaskTracker(mr *MapReduce, node int) *TaskTracker {
 // loop.
 func (tt *TaskTracker) run(e exec.Env) {
 	srv := core.NewServer(tt.mr.rpcNet(tt.node), core.Options{
-		Mode: tt.mr.cfg.RPCMode, Costs: tt.mr.c.Costs, Tracer: tt.mr.cfg.Tracer,
+		Mode: tt.mr.cfg.RPCMode, Costs: tt.mr.c.Costs,
 		Metrics: tt.mr.cfg.Metrics, Trace: tt.mr.cfg.Trace, Handlers: 4,
 	})
 	tt.registerUmbilical(srv)

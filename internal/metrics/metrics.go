@@ -12,12 +12,15 @@
 //
 // Every accessor and instrument method is nil-safe (a nil *Registry hands
 // out nil instruments whose methods do nothing), so call sites instrument
-// unconditionally, exactly like the trace.Tracer convention.
+// unconditionally. Callers on a hot path resolve an instrument once and keep
+// the handle: Labels builds a string and the accessors take the registry
+// lock, the instrument methods do neither.
 package metrics
 
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -61,6 +64,14 @@ func (g *Gauge) Add(n int64) {
 	if g != nil {
 		g.v.Add(n)
 	}
+}
+
+// Swap replaces the gauge value and returns the previous one (0 on nil).
+func (g *Gauge) Swap(n int64) int64 {
+	if g == nil {
+		return 0
+	}
+	return g.v.Swap(n)
 }
 
 // Inc raises the gauge by one.
@@ -314,4 +325,30 @@ func Labels(name string, kv ...string) string {
 	}
 	b.WriteByte('}')
 	return b.String()
+}
+
+// SplitLabels is the inverse of Labels: it returns the family name and the
+// label values of a series name. A name without a well-formed label block
+// comes back whole, with nil labels.
+func SplitLabels(name string) (string, map[string]string) {
+	i := strings.IndexByte(name, '{')
+	if i < 0 || !strings.HasSuffix(name, "}") {
+		return name, nil
+	}
+	labels := map[string]string{}
+	for rest := name[i+1 : len(name)-1]; rest != ""; {
+		eq := strings.IndexByte(rest, '=')
+		if eq < 0 {
+			return name, nil
+		}
+		quoted, err := strconv.QuotedPrefix(rest[eq+1:])
+		if err != nil {
+			return name, nil
+		}
+		labels[rest[:eq]], _ = strconv.Unquote(quoted) // QuotedPrefix vouched for it
+		if rest = rest[eq+1+len(quoted):]; rest != "" && rest[0] == ',' {
+			rest = rest[1:]
+		}
+	}
+	return name[:i], labels
 }

@@ -137,12 +137,15 @@ func TestMergeAndDiff(t *testing.T) {
 	}
 }
 
-// TestNilSafety: a nil registry and nil instruments must be inert, matching
-// the trace.Tracer convention the engine relies on.
+// TestNilSafety: a nil registry and nil instruments must be inert; the engine
+// instruments unconditionally and relies on it.
 func TestNilSafety(t *testing.T) {
 	var r *Registry
 	r.Counter("c").Inc()
 	r.Gauge("g").Set(5)
+	if prev := r.Gauge("g").Swap(7); prev != 0 {
+		t.Errorf("nil gauge Swap returned %d", prev)
+	}
 	r.Histogram("h", nil).Observe(1)
 	if s := r.Snapshot(time.Second); len(s.Counters) != 0 || s.AtNS != int64(time.Second) {
 		t.Errorf("nil registry snapshot: %+v", s)
@@ -209,6 +212,18 @@ func TestLabels(t *testing.T) {
 	want := `m{protocol="p.X",method="do"}`
 	if got := Labels("m", "protocol", "p.X", "method", "do"); got != want {
 		t.Errorf("Labels = %q, want %q", got, want)
+	}
+	// SplitLabels inverts Labels, quoting included, and leaves malformed
+	// names whole.
+	name := Labels("m", "protocol", `p"{,}=`, "method", "do")
+	base, kv := SplitLabels(name)
+	if base != "m" || len(kv) != 2 || kv["protocol"] != `p"{,}=` || kv["method"] != "do" {
+		t.Errorf("SplitLabels(%q) = %q, %v", name, base, kv)
+	}
+	for _, bad := range []string{"m", `m{a="b"`, `m{a}`, `m{a=b}`} {
+		if base, kv := SplitLabels(bad); base != bad || kv != nil {
+			t.Errorf("SplitLabels(%q) = %q, %v; want the name whole", bad, base, kv)
+		}
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package tracing is the end-to-end distributed tracer behind the paper's
-// stage-by-stage cost dissection (Table I, Figure 1, Figure 4): per-call
-// spans covering client serialize, post/send, server admission queue,
+// stage-by-stage cost dissection (Figure 4; Table I and Figures 1 and 3 are
+// views over the metrics registry, see core.SendRows): per-call spans covering client serialize, post/send, server admission queue,
 // deserialize+alloc, handler, and reply, causally linked across the wire by
 // a trace/span/parent triple carried in the RPC request header.
 //
@@ -15,8 +15,8 @@
 //     accumulating in RAM; overflow is dropped and counted
 //     (rpc_trace_dropped_total), never silently truncated.
 //   - Nil-safe: a nil *Tracer (and a nil *Span) records nothing, so the
-//     engine instruments unconditionally, exactly like trace.Tracer and the
-//     metrics instruments.
+//     engine instruments unconditionally, exactly like the metrics
+//     instruments.
 package tracing
 
 import (

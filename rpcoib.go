@@ -43,7 +43,6 @@ import (
 	"rpcoib/internal/core"
 	"rpcoib/internal/exec"
 	"rpcoib/internal/perfmodel"
-	"rpcoib/internal/trace"
 	"rpcoib/internal/transport"
 	"rpcoib/internal/wire"
 )
@@ -214,9 +213,3 @@ const (
 	IPoIB    = perfmodel.IPoIB
 	NativeIB = perfmodel.NativeIB
 )
-
-// Tracer is the RPC invocation profiler (Table I, Figures 1 and 3).
-type Tracer = trace.Tracer
-
-// NewTracer returns an empty profiler.
-func NewTracer() *Tracer { return trace.New() }
