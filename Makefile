@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench-test lint lint-ssa lint-write-golden staticcheck govulncheck
+.PHONY: all build test race bench-test figures lint lint-ssa lint-write-golden staticcheck govulncheck
 
 all: build test lint
 
@@ -21,16 +21,32 @@ bench-test:
 	$(GO) test -C benchmark ./...
 	bash benchmark/run.sh --workload real_observed --seconds 2 --trace 0
 
+# Figures are tests: regenerate all six results/*.txt with the commands
+# EXPERIMENTS.md lists and diff each against the committed file, cheapest
+# first. The simulations are deterministic, so any difference is a change in
+# what the engine computes. sortbench and hbasebench run for tens of minutes;
+# `go test ./internal/bench` covers rpcbench and profilerpc in process.
+figures:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	regen() { out=$$1; shift; echo "figures: results/$$out"; \
+		$(GO) run "$$@" > "$$tmp/$$out"; diff -u "results/$$out" "$$tmp/$$out"; }; \
+	regen cloudburst.txt ./cmd/cloudburst; \
+	regen profile.txt ./cmd/profilerpc; \
+	regen rpcbench.txt ./cmd/rpcbench; \
+	regen hdfs.txt ./cmd/hdfsbench; \
+	regen sort.txt ./cmd/sortbench; \
+	regen hbase.txt ./cmd/hbasebench -ops 64000
+
 # Static analysis (DESIGN.md S20/S25): the project's own analyzer suite —
-# determinism, poolpair, metricnames, lockcall, statusexhaustive, plus the
-# SSA-lite interprocedural trio atomicguard, regmem, goroutineleak. Fails on
-# any finding; fix the code or add a justified marker (//lint:wallclock,
+# determinism, metricnames, lockcall, statusexhaustive, atomicguard, plus the
+# two that ride the SSA-lite CFGs, regmem and goroutineleak. Fails on any
+# finding; fix the code or add a justified marker (//lint:wallclock,
 # //lint:atomicinit, //lint:goroutine).
 lint:
 	$(GO) run ./cmd/rpcoiblint ./...
 
-# Just the SSA-lite interprocedural analyzers (DESIGN.md S25) — the slow
-# half of the suite, isolated for iterating on dataflow changes.
+# Just the S25 analyzers — the slow half of the suite, isolated for iterating
+# on dataflow changes.
 lint-ssa:
 	$(GO) run ./cmd/rpcoiblint -only atomicguard,regmem,goroutineleak ./...
 

@@ -7,7 +7,7 @@
 // escape hatches are documented in README.md ("Static analysis") and on
 // each package under internal/lint. Flags:
 //
-//	-only determinism,poolpair   run a subset of analyzers
+//	-only determinism,regmem     run a subset of analyzers
 //	-golden <path>               metric-name golden file (default: the
 //	                             faultsim runtime golden, so the static and
 //	                             runtime guards can never disagree)

@@ -47,12 +47,6 @@ func observed(run func() time.Duration) metrics.Snapshot {
 	return metrics.Diff(benchReg.Snapshot(end), before)
 }
 
-// MetricsRegistry returns the shared registry, or nil when metrics are off.
-func MetricsRegistry() *metrics.Registry { return benchReg }
-
-// MetricsLog returns the shared run-event log.
-func MetricsLog() *metrics.Log { return benchLog }
-
 // WriteMetricsReport writes the accumulated JSONL event log to path. It is a
 // no-op (and returns nil) when metrics were never enabled or path is empty.
 func WriteMetricsReport(path string) error {

@@ -56,9 +56,6 @@ func EnableTracingFromFlags(path string, sampleN, tailMS int) error {
 	return EnableTracing(path, s)
 }
 
-// TraceTracer returns the shared tracer, or nil when tracing is off.
-func TraceTracer() *tracing.Tracer { return benchTrace }
-
 // CloseTrace flushes and closes the trace file (no-op when tracing is off).
 func CloseTrace() error {
 	if benchTrace == nil {

@@ -70,9 +70,6 @@ func NewShadowPool(native *NativePool, policy Policy) *ShadowPool {
 // Native returns the underlying native pool.
 func (s *ShadowPool) Native() *NativePool { return s.native }
 
-// Policy returns the sizing policy.
-func (s *ShadowPool) Policy() Policy { return s.policy }
-
 // Acquire returns a buffer for a call of kind key. Under PolicyHistory its
 // size is the recorded last-known appropriate size for that key (or the
 // minimum class for unseen keys).

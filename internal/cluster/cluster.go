@@ -192,12 +192,6 @@ func (c *Cluster) IBRailFabric(rail int) *netsim.Fabric {
 	return c.ibFabrics[rail]
 }
 
-// IBRailNet returns rail i's verbs network.
-func (c *Cluster) IBRailNet(rail int) *ibverbs.Network {
-	c.IBRailFabric(rail) // bounds check
-	return c.ibnets[rail]
-}
-
 // Node returns host id (panics on bad ids to catch wiring mistakes).
 func (c *Cluster) Node(id int) *Node {
 	if id < 0 || id >= len(c.nodes) {
@@ -208,9 +202,6 @@ func (c *Cluster) Node(id int) *Node {
 
 // Nodes returns the host count.
 func (c *Cluster) Nodes() int { return len(c.nodes) }
-
-// Fabric returns the fabric for a link kind.
-func (c *Cluster) Fabric(kind perfmodel.LinkKind) *netsim.Fabric { return c.fabrics[kind] }
 
 // IBNet returns rail 0's verbs network (the only one on single-rail
 // clusters).
@@ -346,12 +337,6 @@ type SimEnv struct {
 // Proc exposes the underlying sim process for transport glue.
 func (e *SimEnv) Proc() *sim.Proc { return e.p }
 
-// NodeID returns the node this process runs on.
-func (e *SimEnv) NodeID() int { return e.node.ID }
-
-// Cluster returns the owning cluster.
-func (e *SimEnv) Cluster() *Cluster { return e.c }
-
 // Now implements exec.Env.
 func (e *SimEnv) Now() time.Duration { return e.p.Now() }
 
@@ -413,9 +398,6 @@ func procOf(e exec.Env) *sim.Proc {
 	}
 }
 
-// ProcOf is the exported procOf, for transport glue outside this package.
-func ProcOf(e exec.Env) *sim.Proc { return procOf(e) }
-
 func (s simQueue) Put(e exec.Env, v any) bool { return s.q.Put(procOf(e), v) }
 func (s simQueue) TryPut(v any) bool          { return s.q.TryPut(v) }
 func (s simQueue) Get(e exec.Env) (any, bool) { return s.q.Get(procOf(e)) }
@@ -423,5 +405,4 @@ func (s simQueue) TryGet() (any, bool)        { return s.q.TryGet() }
 func (s simQueue) GetTimeout(e exec.Env, d time.Duration) (any, bool, bool) {
 	return s.q.GetTimeout(procOf(e), d)
 }
-func (s simQueue) Close()   { s.q.Close() }
-func (s simQueue) Len() int { return s.q.Len() }
+func (s simQueue) Close() { s.q.Close() }

@@ -198,15 +198,6 @@ type ShardEnv struct {
 // Proc exposes the underlying sim process for queue glue.
 func (e *ShardEnv) Proc() *sim.Proc { return e.p }
 
-// NodeID implements exec.ShardInfo.
-func (e *ShardEnv) NodeID() int { return e.node }
-
-// ShardID implements exec.ShardInfo.
-func (e *ShardEnv) ShardID() int { return e.c.assign[e.node] }
-
-// Cluster returns the owning sharded cluster.
-func (e *ShardEnv) Cluster() *ShardedCluster { return e.c }
-
 // Now implements exec.Env.
 func (e *ShardEnv) Now() time.Duration { return e.p.Now() }
 

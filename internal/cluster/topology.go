@@ -2,7 +2,7 @@ package cluster
 
 // Topology describes the physical layout of the cluster: how nodes are
 // grouped into racks and how many independent IB rails each node's HCA(s)
-// expose. The paper's testbeds motivate the presets: Cluster A is a classic
+// expose. The paper's testbeds motivate the shapes: Cluster A is a classic
 // single-rail QDR fabric, while multi-rail layouts model hosts with dual-port
 // HCAs (or two HCAs) cabled to independent switches — the configuration
 // RDMAvisor-style rail virtualization targets. Every rail is a full
@@ -29,20 +29,6 @@ func (t Topology) withDefaults() Topology {
 	}
 	return t
 }
-
-// SingleRailTopology is the paper's Cluster A layout: one rack-equivalent
-// failure domain, one QDR rail. It is the default and preserves the exact
-// behavior of pre-multi-rail clusters.
-func SingleRailTopology() Topology { return Topology{Racks: 1, IBRails: 1} }
-
-// DualRailTopology models Cluster B hosts with dual-port HCAs cabled to two
-// independent switches: two racks, two rails, rack-affine routing.
-func DualRailTopology() Topology { return Topology{Racks: 2, IBRails: 2} }
-
-// QuadRailTopology is the stress layout the chaos matrix sweeps: four racks
-// over four rails, so every rail carries live traffic that a rail outage
-// must shift.
-func QuadRailTopology() Topology { return Topology{Racks: 4, IBRails: 4} }
 
 // RackOf returns the rack housing node.
 func (t Topology) RackOf(node int) int {

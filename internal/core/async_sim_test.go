@@ -261,3 +261,109 @@ func TestSimFanOutOverlapsRoundTrips(t *testing.T) {
 		t.Errorf("fan-out (%v) should be well under half of sequential (%v)", fan, seq)
 	}
 }
+
+// TestSimFutureTryWait walks the non-blocking poll through every outcome on
+// one connection: pending, reply delivered, reply delivered and then the
+// connection dies before the caller polls (the reply wins), and connection
+// dead with no reply (ErrClosed) — with Stats.Resolved moving exactly once
+// per future however often it is polled or waited on.
+func TestSimFutureTryWait(t *testing.T) {
+	cl := cluster.New(cluster.ClusterB())
+	var srv *core.Server
+	cl.SpawnOn(0, "server", func(e exec.Env) { srv = startEchoServer(t, cl, e, 9000) })
+	ran := false
+	cl.SpawnOn(1, "client", func(e exec.Env) {
+		e.Sleep(time.Millisecond)
+		c := simClient(cl, 1, core.Options{})
+		param := &wire.BytesWritable{Value: []byte("ping")}
+		poll := func(step string, f *core.Future, wantDone bool, wantErr error, wantResolved int64) {
+			t.Helper()
+			done, err := f.TryWait()
+			if done != wantDone || !errors.Is(err, wantErr) {
+				t.Errorf("%s: TryWait = (%v, %v), want (%v, %v)", step, done, err, wantDone, wantErr)
+			}
+			if got := c.Stats.Resolved.Load(); got != wantResolved {
+				t.Errorf("%s: Stats.Resolved = %d, want %d", step, got, wantResolved)
+			}
+		}
+
+		var slowReply, echoReply, lateReply wire.BytesWritable
+		slow := c.CallAsync(e, "node0:9000", "test.Async", "slow", param, &slowReply)
+		poll("pending", slow, false, nil, 0)
+
+		echo := c.CallAsync(e, "node0:9000", "test.Async", "echo", param, &echoReply)
+		e.Sleep(50 * time.Millisecond)
+		poll("delivered", echo, true, nil, 1)
+		if string(echoReply.Value) != "ping" {
+			t.Errorf("delivered: reply = %q, want the echoed param", echoReply.Value)
+		}
+		if err := echo.Wait(e); err != nil {
+			t.Errorf("Wait after TryWait: %v", err)
+		}
+		poll("delivered, polled again", echo, true, nil, 1)
+
+		// The reply lands, then the connection fails, and only then does the
+		// caller look: the delivered reply must not be lost to the close.
+		late := c.CallAsync(e, "node0:9000", "test.Async", "echo", param, &lateReply)
+		e.Sleep(50 * time.Millisecond)
+		srv.Stop()
+		e.Sleep(50 * time.Millisecond)
+		if n := core.OpenConnections(c); n != 0 {
+			t.Fatalf("open connections after server stop: %d, want 0", n)
+		}
+		poll("reply then close", late, true, nil, 2)
+		if string(lateReply.Value) != "ping" {
+			t.Errorf("reply then close: reply = %q, want the echoed param", lateReply.Value)
+		}
+
+		poll("closed, no reply", slow, true, core.ErrClosed, 3)
+		if err := slow.Wait(e); !errors.Is(err, core.ErrClosed) {
+			t.Errorf("Wait after failed TryWait: %v, want ErrClosed", err)
+		}
+		if calls, resolved, errs := c.Stats.Calls.Load(), c.Stats.Resolved.Load(), c.Stats.Errors.Load(); calls != 3 || resolved != 3 || errs != 1 {
+			t.Errorf("stats calls=%d resolved=%d errors=%d, want 3/3/1", calls, resolved, errs)
+		}
+		ran = true
+	})
+	cl.RunUntil(time.Minute)
+	if !ran {
+		t.Fatal("scenario did not complete")
+	}
+}
+
+// TestSimFailWakesWaitersInCallOrder: when a connection dies with several
+// calls in flight, each parked in its own process, the waiters must resume
+// in call order. The pending table is a map; waking in its iteration order
+// made a faulted run depend on the Go runtime's hash seed.
+func TestSimFailWakesWaitersInCallOrder(t *testing.T) {
+	const calls = 8
+	cl := cluster.New(cluster.ClusterB())
+	var srv *core.Server
+	cl.SpawnOn(0, "server", func(e exec.Env) { srv = startEchoServer(t, cl, e, 9000) })
+	var woke []int
+	cl.SpawnOn(1, "client", func(e exec.Env) {
+		e.Sleep(time.Millisecond)
+		c := simClient(cl, 1, core.Options{})
+		param := &wire.BytesWritable{Value: make([]byte, 16)}
+		for i := 0; i < calls; i++ {
+			f := c.CallAsync(e, "node0:9000", "test.Async", "slow", param, &wire.BytesWritable{})
+			e.Spawn("waiter", func(e exec.Env) {
+				if err := f.Wait(e); !errors.Is(err, core.ErrClosed) {
+					t.Errorf("call %d: err=%v, want ErrClosed", i, err)
+				}
+				woke = append(woke, i)
+			})
+		}
+		e.Sleep(50 * time.Millisecond)
+		srv.Stop()
+	})
+	cl.RunUntil(time.Minute)
+	if len(woke) != calls {
+		t.Fatalf("%d of %d waiters resumed", len(woke), calls)
+	}
+	for i, got := range woke {
+		if got != i {
+			t.Fatalf("waiters resumed in order %v, want call order", woke)
+		}
+	}
+}

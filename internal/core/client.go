@@ -209,14 +209,8 @@ func (c *Client) connection(e exec.Env, addr string) (*Connection, error) {
 		tc, err = c.net.Dial(e, addr)
 	}
 	if err != nil {
-		if rs != nil {
-			// A failed rail dial marks the rail down; only when that leaves
-			// no healthy rail does the failure widen to the S19 breaker.
-			if rs.onFailure(key.rail, e.Now()) && br != nil {
-				br.onFailure(e.Now())
-			}
-		} else if br != nil && !key.fallback {
-			br.onFailure(e.Now())
+		if !key.fallback {
+			primaryFailure(rs, br, key.rail, e.Now())
 		}
 		return nil, err
 	}
@@ -306,23 +300,15 @@ func (conn *Connection) takeCall(id int32) *Future {
 }
 
 // organicFail is fail for failures the transport produced (receive errors,
-// send errors) rather than administrative teardown: on a primary connection
-// it charges the rail selector first (rail-to-rail failover), widening to
-// the peer's circuit breaker only when no healthy rail remains — or
-// immediately, on single-rail networks. now is the caller's virtual time,
-// for the cooldown clocks.
+// send errors) rather than administrative teardown: a primary connection
+// charges primaryFailure once before tearing down. now is the caller's
+// virtual time, for the cooldown clocks.
 func (conn *Connection) organicFail(now time.Duration, err error) {
 	conn.mu.Lock()
 	already := conn.closed
 	conn.mu.Unlock()
 	if !already && !conn.fallback {
-		if conn.rs != nil {
-			if conn.rs.onFailure(conn.rail, now) && conn.br != nil {
-				conn.br.onFailure(now)
-			}
-		} else if conn.br != nil {
-			conn.br.onFailure(now)
-		}
+		primaryFailure(conn.rs, conn.br, conn.rail, now)
 	}
 	conn.fail(err)
 }
@@ -347,8 +333,15 @@ func (conn *Connection) fail(err error) {
 		}
 	}
 	conn.tc.Close()
-	for _, f := range pending {
-		f.replyQ.Close()
+	// Closing a reply queue wakes its waiter: wake them in call order, not
+	// map order, so a failure with several calls in flight replays the same.
+	ids := make([]int32, 0, len(pending))
+	for id := range pending {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	for _, id := range ids {
+		pending[id].replyQ.Close()
 	}
 }
 

@@ -88,13 +88,6 @@ func (c *ConnCache) Len() int {
 	return c.order.Len()
 }
 
-// Cap returns the capacity (0 = unbounded).
-func (c *ConnCache) Cap() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.cap
-}
-
 // Evictions returns the total entries evicted by capacity pressure.
 func (c *ConnCache) Evictions() int64 {
 	c.mu.Lock()

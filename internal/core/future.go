@@ -118,14 +118,7 @@ func (f *Future) resolve(ok, timedOut bool) error {
 			err = ErrTimeout
 		}
 		if !f.conn.fallback {
-			expiry := f.start + f.timeout
-			if f.conn.rs != nil {
-				if f.conn.rs.onFailure(f.conn.rail, expiry) && f.conn.br != nil {
-					f.conn.br.onFailure(expiry)
-				}
-			} else if f.conn.br != nil {
-				f.conn.br.onFailure(expiry)
-			}
+			primaryFailure(f.conn.rs, f.conn.br, f.conn.rail, f.start+f.timeout)
 		}
 	case !ok:
 		if ce := f.conn.closeError(); ce != nil {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -154,6 +153,20 @@ func (rs *railSet) onFailure(rail int, now time.Duration) (allDown bool) {
 	return true
 }
 
+// primaryFailure charges one organic primary-path failure (dial error, call
+// timeout, connection fault) on rail at virtual time at. The rail selector
+// is charged first, so traffic shifts rail to rail; the failure widens to the
+// peer's S19 breaker only when no healthy rail is left — or at once on
+// single-rail networks (rs nil). br is nil when failover is not armed.
+func primaryFailure(rs *railSet, br *breaker, rail int, at time.Duration) {
+	if rs != nil && !rs.onFailure(rail, at) {
+		return
+	}
+	if br != nil {
+		br.onFailure(at)
+	}
+}
+
 // anyHealthyLocked reports whether some rail is both un-failed and has an
 // active port. Callers hold rs.mu.
 func (rs *railSet) anyHealthyLocked(up func(int) bool) bool {
@@ -207,39 +220,6 @@ func (c *Client) railSet(addr string) *railSet {
 		c.railSets[addr] = rs
 	}
 	return rs
-}
-
-// RailInfo is one peer rail selector's externally visible state, for tests
-// and the fault-injection invariant checker.
-type RailInfo struct {
-	Addr string
-	Rail int
-	Down bool
-	Load int
-}
-
-// Rails snapshots every peer's rail states in deterministic (address, rail)
-// order. Empty on single-rail clients.
-func Rails(c *Client) []RailInfo {
-	c.mu.Lock()
-	addrs := make([]string, 0, len(c.railSets))
-	for a := range c.railSets {
-		addrs = append(addrs, a)
-	}
-	c.mu.Unlock()
-	sort.Strings(addrs)
-	var out []RailInfo
-	for _, a := range addrs {
-		c.mu.Lock()
-		rs := c.railSets[a]
-		c.mu.Unlock()
-		rs.mu.Lock()
-		for r := 0; r < rs.rails; r++ {
-			out = append(out, RailInfo{Addr: a, Rail: r, Down: rs.st[r].down, Load: rs.load[r]})
-		}
-		rs.mu.Unlock()
-	}
-	return out
 }
 
 // railName interns rail-index label values for the per-rail call counter.

@@ -56,6 +56,4 @@ type Queue interface {
 	GetTimeout(e Env, d time.Duration) (v any, ok, timedOut bool)
 	// Close closes the queue, waking all blocked getters.
 	Close()
-	// Len reports the number of buffered elements.
-	Len() int
 }

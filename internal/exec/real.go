@@ -148,9 +148,3 @@ func (q *realQueue) Close() {
 	q.notEmpty.Broadcast()
 	q.notFull.Broadcast()
 }
-
-func (q *realQueue) Len() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.items.Len()
-}

@@ -93,13 +93,6 @@ func (r *Report) CheckRuntime(name string, rt *core.Runtime) {
 	}
 }
 
-// CheckClients is CheckRuntime for a pre-captured client slice.
-func (r *Report) CheckClients(name string, clients []*core.Client) {
-	for i, c := range clients {
-		r.CheckClient(fmt.Sprintf("%s/client%d", name, i), c)
-	}
-}
-
 // CheckPool asserts the registered-buffer invariants on one two-level pool at
 // quiescence: no buffer still outstanding (lost) and no double-free was ever
 // attempted.

@@ -23,9 +23,6 @@ type DFSClient struct {
 	name string
 }
 
-// Name returns the client's lease-holder identity.
-func (c *DFSClient) Name() string { return c.name }
-
 func (c *DFSClient) call(e exec.Env, method string, param, reply wire.Writable) error {
 	return c.rpc.Call(e, c.h.nnAddr, ClientProtocol, method, param, reply)
 }

@@ -199,12 +199,6 @@ func (h *HDFS) NameNode() *NameNode { return h.nn }
 // invariant checks walk its clients after a run).
 func (h *HDFS) Runtime() *core.Runtime { return h.rt }
 
-// NameNodeAddr returns the RPC address of the NameNode.
-func (h *HDFS) NameNodeAddr() string { return h.nnAddr }
-
-// Config returns the active configuration.
-func (h *HDFS) Config() Config { return h.cfg }
-
 // DataAddr returns the data-transfer address of node.
 func (h *HDFS) DataAddr(node int) string { return netsim.Addr(node, dataPort) }
 

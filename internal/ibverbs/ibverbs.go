@@ -92,9 +92,6 @@ func NewNetwork(fabric *netsim.Fabric, costs *perfmodel.CPUCosts, threshold int)
 	}
 }
 
-// Fabric returns the underlying native-IB fabric.
-func (n *Network) Fabric() *netsim.Fabric { return n.fabric }
-
 // Device returns (opening if needed) the HCA of node.
 func (n *Network) Device(node int) *Device {
 	d, ok := n.devices[node]
@@ -169,9 +166,6 @@ func (d *Device) reclaim(msg recvMsg) {
 
 // Node returns the device's node id.
 func (d *Device) Node() int { return d.node }
-
-// Threshold returns the eager/RDMA crossover in bytes.
-func (d *Device) Threshold() int { return d.threshold }
 
 // RecvPool exposes the device's registered receive pool.
 func (d *Device) RecvPool() *bufpool.NativePool { return d.recvPool }

@@ -104,9 +104,6 @@ func NewMux(net *Network, perPeer int) *Mux {
 	return &Mux{net: net, perPeer: perPeer, groups: map[muxKey]*muxGroup{}}
 }
 
-// PerPeer returns the physical-QP cap per peer.
-func (m *Mux) PerPeer() int { return m.perPeer }
-
 // QPs returns the physical QP sides currently open across all groups and
 // listeners (a connected QP between two instrumented nodes counts twice,
 // once per side).
@@ -336,9 +333,6 @@ type MuxEndpoint struct {
 
 // RemoteAddr identifies the peer listener plus the logical stream.
 func (me *MuxEndpoint) RemoteAddr() string { return me.remote }
-
-// Stream returns the logical stream id.
-func (me *MuxEndpoint) Stream() uint64 { return me.stream }
 
 // Send transmits the first n bytes of b on the logical stream.
 func (me *MuxEndpoint) Send(p *sim.Proc, b *bufpool.Buffer, n int) error {

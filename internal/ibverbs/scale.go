@@ -460,8 +460,6 @@ type QPMux struct {
 	cap     int
 	load    []int // streams per open QP
 	streams int
-	opened  int64
-	closed  int64
 	peak    int
 
 	gCap     *metrics.Gauge
@@ -497,13 +495,6 @@ func (m *QPMux) Instrument(r *metrics.Registry) {
 	m.gQPs.Set(int64(len(m.load)))
 }
 
-// Cap returns the physical-QP cap.
-func (m *QPMux) Cap() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.cap
-}
-
 // QPs returns the physical queue pairs currently open.
 func (m *QPMux) QPs() int {
 	m.mu.Lock()
@@ -524,13 +515,6 @@ func (m *QPMux) Streams() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.streams
-}
-
-// StreamsOpened returns the total streams ever attached.
-func (m *QPMux) StreamsOpened() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.opened
 }
 
 // Attach assigns a new stream to a QP slot and returns the slot index: a new
@@ -558,7 +542,6 @@ func (m *QPMux) Attach() (qp int, isNew bool) {
 		m.load[qp]++
 	}
 	m.streams++
-	m.opened++
 	m.gStreams.Set(int64(m.streams))
 	m.cOpened.Inc()
 	return qp, isNew
@@ -578,22 +561,6 @@ func (m *QPMux) Detach(qp int) {
 		panic("ibverbs: QPMux detached below zero")
 	}
 	m.streams--
-	m.closed++
 	m.gStreams.Set(int64(m.streams))
 	m.cClosed.Inc()
-}
-
-// drop removes a dead physical QP from the table entirely (the QP faulted);
-// used by the endpoint mux when a queue pair goes to the error state.
-func (m *QPMux) drop(qp int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if qp < 0 || qp >= len(m.load) {
-		return
-	}
-	m.streams -= m.load[qp]
-	m.closed += int64(m.load[qp])
-	m.load = append(m.load[:qp], m.load[qp+1:]...)
-	m.gQPs.Set(int64(len(m.load)))
-	m.gStreams.Set(int64(m.streams))
 }

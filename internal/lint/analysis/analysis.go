@@ -39,13 +39,13 @@ type Pass struct {
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
-	// SSA is the package's SSA-lite view (per-function CFGs, def-use
-	// chains, the worklist solver, and the static call graph), built once
-	// per package by the driver and shared by every analyzer. This is the
-	// one deliberate departure from the upstream x/tools API shape (which
-	// delivers the same facility through ctrlflow/buildssa dependency
-	// analyzers); porting an SSA-lite analyzer upstream means swapping this
-	// field for the corresponding Analyzer.Requires result.
+	// SSA is the package's SSA-lite view (per-function CFGs, the worklist
+	// solver, and static callee resolution), built once per package by the
+	// driver and shared by every analyzer. This is the one deliberate
+	// departure from the upstream x/tools API shape (which delivers the same
+	// facility through ctrlflow/buildssa dependency analyzers); porting an
+	// SSA-lite analyzer upstream means swapping this field for the
+	// corresponding Analyzer.Requires result.
 	SSA *ssalite.Info
 	// Report delivers one diagnostic to the driver.
 	Report func(Diagnostic)

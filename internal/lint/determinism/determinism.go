@@ -13,10 +13,10 @@
 //     seeded sources (rand.New(rand.NewSource(seed))) are allowed: they are
 //     deterministic by construction;
 //   - range-over-map loops whose body drives order-sensitive effects (queue
-//     puts, transport sends, process spawns, formatted output — and, since
-//     S22, kernel scheduling and cross-shard merge traffic: At/After/Post/
-//     PostAt/LocalAt/Push/Emit): map iteration order varies between runs,
-//     so such loops must iterate a sorted key slice instead;
+//     puts, transport sends and closes, process spawns, formatted output —
+//     and, since S22, kernel scheduling and cross-shard merge traffic:
+//     At/After/Post/PostAt/LocalAt/Push/Emit): map iteration order varies
+//     between runs, so such loops must iterate a sorted key slice instead;
 //   - select statements with more than one communication case (S22): when
 //     several cases are ready the runtime picks uniformly at random, so
 //     shard-worker hand-offs must use a single-case receive (or the
@@ -68,11 +68,15 @@ var globalRand = map[string]bool{
 
 // orderSensitive lists method names that publish effects whose order is
 // observable by the rest of the simulation (queue hand-offs, fabric sends,
-// process spawns). A map-range body reaching one of these is flagged.
+// process spawns). A map-range body reaching one of these is flagged. Close
+// is on the list because closing a connection sends a FIN over the fabric
+// and closing a queue wakes its waiters: Fig 6(a)'s 128 GB Sort varied by a
+// second from run to run until reduces closed their shuffle connections in
+// sorted order.
 var orderSensitive = map[string]bool{
 	"Put": true, "TryPut": true, "TryPutUnbounded": true,
 	"Send": true, "SendSized": true, "SendPooled": true,
-	"Spawn": true,
+	"Spawn": true, "Close": true,
 	// S22 sharded-kernel surface: event scheduling and cross-shard merge
 	// traffic observe their issue order (event seq numbers, mailbox keys).
 	"At": true, "After": true, "Post": true, "PostAt": true,

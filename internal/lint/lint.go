@@ -7,8 +7,6 @@
 //
 //	determinism      no wall clock / global PRNG / map-order effects in
 //	                 engine packages (replay invariant, S18)
-//	poolpair         every bufpool acquisition released exactly once
-//	                 (ledger invariant Gets==Puts)
 //	metricnames      metric families are package-level consts that match
 //	                 metric_names.golden both ways (S16 golden guard)
 //	lockcall         no blocking call while holding a sync mutex (the S18
@@ -16,16 +14,17 @@
 //	statusexhaustive status-code switches cover every status* constant
 //	atomicguard      a word accessed via sync/atomic anywhere is accessed
 //	                 atomically everywhere, module-wide (Facts + Merge)
-//	regmem           registered buffers and MemoryBudget reservations reach
-//	                 exactly one Release on every CFG path and are never
-//	                 used afterwards
+//	regmem           every bufpool acquisition and MemoryBudget reservation
+//	                 reaches exactly one Put/Release on every CFG path
+//	                 (ledger invariant Gets==Puts) and is never used
+//	                 afterwards
 //	goroutineleak    every spawned goroutine in an engine package has a
 //	                 reachable shutdown path
 //
-// The last three are interprocedural and ride on the shared SSA-lite
-// facility (internal/lint/ssalite): per-function CFGs, def-use chains, a
-// worklist dataflow solver, and the package call graph, built once per
-// package and handed to every analyzer as Pass.SSA.
+// The last two ride on the shared SSA-lite facility (internal/lint/ssalite):
+// per-function CFGs, a worklist dataflow solver, and static callee
+// resolution, built once per package and handed to every analyzer as
+// Pass.SSA. atomicguard is module-wide through Facts + Merge instead.
 package lint
 
 import (
@@ -44,7 +43,6 @@ import (
 	"rpcoib/internal/lint/loader"
 	"rpcoib/internal/lint/lockcall"
 	"rpcoib/internal/lint/metricnames"
-	"rpcoib/internal/lint/poolpair"
 	"rpcoib/internal/lint/regmem"
 	"rpcoib/internal/lint/ssalite"
 	"rpcoib/internal/lint/statusexhaustive"
@@ -53,7 +51,6 @@ import (
 // Analyzers is the full suite, in reporting order.
 var Analyzers = []*analysis.Analyzer{
 	determinism.Analyzer,
-	poolpair.Analyzer,
 	metricnames.Analyzer,
 	lockcall.Analyzer,
 	statusexhaustive.Analyzer,
@@ -128,8 +125,8 @@ func Run(patterns []string, opts Options) ([]Finding, error) {
 	var atomicFacts []*atomicguard.Facts
 	metricsRan := false
 	for _, pkg := range pkgs {
-		// One SSA-lite build (CFGs, def-use, call graph) per package,
-		// shared by every analyzer in the suite.
+		// One SSA-lite build (CFGs, callee index) per package, shared by
+		// every analyzer in the suite.
 		ssa := ssalite.Build(pkg.Fset, pkg.Files, pkg.Types, pkg.Info)
 		for _, a := range Analyzers {
 			if opts.Only != nil && !opts.Only[a.Name] {

@@ -6,17 +6,17 @@ import (
 	"rpcoib/internal/lint"
 )
 
-// suite is the full analyzer roster TestSelfLint demands: the five AST
-// checks plus the three SSA-lite interprocedural analyzers (S25). A missing
-// name here means someone unplugged an invariant from the gate.
+// suite is the full analyzer roster TestSelfLint demands: the four AST
+// checks plus the three S25 analyzers. A missing name here means someone
+// unplugged an invariant from the gate.
 var suite = []string{
-	"determinism", "poolpair", "metricnames", "lockcall",
+	"determinism", "metricnames", "lockcall",
 	"statusexhaustive", "atomicguard", "regmem", "goroutineleak",
 }
 
 // TestSelfLint runs the full suite over the module itself — the same
 // invocation as `make lint` / `go run ./cmd/rpcoiblint ./...` — and demands
-// zero findings under all eight analyzers. Every real violation must either
+// zero findings under all seven analyzers. Every real violation must either
 // be fixed or carry a justified marker (//lint:wallclock, //lint:atomicinit,
 // //lint:goroutine), and metric_names.golden must match the statically
 // enumerable family set both ways.

@@ -1,12 +1,15 @@
-// Package regmem extends poolpair's registered-memory obligation tracking
-// from statement-tree path walking to genuine CFG dataflow (Pass.SSA), and
-// from buffers alone to MemoryBudget reservations.
+// Package regmem checks that registered memory — pool buffers and
+// MemoryBudget reservations — reaches exactly one release on every path and
+// is never used afterwards, by CFG dataflow over Pass.SSA.
 //
 // Registered memory is the scarcest resource in the design: the paper pins
-// and registers every pool buffer with the HCA, and the million-client work
-// (DESIGN.md S23) rations it through ibverbs.MemoryBudget. Two bug classes
-// survive poolpair's conservative walk and show up in RDMAbox-style
-// transports as corruption or slow leaks:
+// and registers every pool buffer with the HCA (Design idea 2/3), and the
+// million-client work (DESIGN.md S23) rations it through
+// ibverbs.MemoryBudget. A Get/Acquire without a matching Put/Release leaks
+// registered memory (the ledger invariant Gets==Puts that faultsim.Report
+// asserts at runtime), a double Put hands one buffer to two callers, and two
+// further bug classes show up in RDMAbox-style transports as corruption or
+// slow leaks:
 //
 //   - the stale reference: a buffer used — read, sent, returned, released
 //     again — after its Put/Release. The pool may already have handed the
@@ -17,29 +20,36 @@
 //     under the S23 admission path that is a permanent capacity loss.
 //
 // The analyzer runs a forward worklist solve over each function's ssalite
-// CFG. Buffer obligations (bufpool Get/Acquire/Grow, exactly as poolpair
-// recognizes them) are tracked through held / released / transferred
-// states; budget reservations are created branch-sensitively on the success
-// edge of `if b.TryReserve(n)` (and the negated form) and keyed by the
-// receiver's spelling. It reports:
+// CFG. Buffer obligations (a local bound to the result of a bufpool
+// Get/Acquire/Grow) are tracked through held / released / transferred
+// states; Grow(b, n) releases b and the assigned result starts a new
+// obligation, mirroring ShadowPool.Grow's put-and-reget contract. Budget
+// reservations are created branch-sensitively on the success edge of
+// `if b.TryReserve(n)` (and the negated form) and keyed by the receiver's
+// spelling. It reports:
 //
-//   - any use of a buffer after its release (including releasing twice,
-//     sending on a channel, or returning it) — the stale reference;
+//   - a buffer never released, released on some paths to the exit but not
+//     all, overwritten while held, or released twice;
+//   - an acquisition, or a TryReserve, whose result is discarded outright:
+//     nothing can ever release it;
+//   - any use of a buffer after its release (including sending it on a
+//     channel, storing it, or returning it) — the stale reference;
 //   - any use after the obligation was handed off (channel send, goroutine
 //     capture): the receiver owns the buffer now, retaining it races;
-//   - a reservation or buffer released on some paths to the exit but not
-//     all — the early-return leak (a reservation held on *every* path is
-//     presumed handed to an owner object that releases in Close, as the SRQ
-//     constructor does, and stays quiet);
-//   - a TryReserve whose boolean result is discarded: on success the
-//     reservation is unrecoverable.
+//   - a reservation released on some paths but not all — the early-return
+//     leak (a reservation held on *every* path is presumed handed to an
+//     owner object that releases in Close, as the SRQ constructor does, and
+//     stays quiet).
 //
-// Obligations follow calls: passing a held buffer to a package-local
-// function consults a computed summary of that callee (releases always /
-// sometimes / never / escapes), so a release hidden one call down is seen
-// rather than treated as an escape. Unknown callees escape the obligation,
-// exactly as in poolpair. Releases inside defer statements satisfy
-// obligations at every exit.
+// The check is deliberately conservative about escapes: a held buffer that
+// is returned, stored into a struct, map, slice, or channel, captured whole
+// by a closure, or passed to an unknown callee transfers its release
+// obligation elsewhere and stops being tracked. Selector uses (b.Data,
+// b.Cap()) and nil comparisons do not escape. Obligations follow calls:
+// passing a held buffer to a package-local function consults a computed
+// summary of that callee (releases always / sometimes / never / escapes), so
+// a release hidden one call down is seen rather than treated as an escape.
+// Releases inside defer statements satisfy obligations at every exit.
 package regmem
 
 import (
@@ -57,7 +67,7 @@ import (
 // Analyzer is the registered-memory obligation check.
 var Analyzer = &analysis.Analyzer{
 	Name: "regmem",
-	Doc:  "registered buffers and MemoryBudget reservations must reach exactly one Release on every path and never be used afterwards",
+	Doc:  "every bufpool acquisition and MemoryBudget reservation must reach exactly one Put/Release on every path and never be used afterwards",
 	Run:  run,
 }
 
@@ -606,8 +616,8 @@ func (c *checker) staleUse(f fact, k okey, o obl, pos token.Pos) fact {
 	case transferred:
 		c.reportf(pos, "pool buffer %q was %s at %s and must not be retained by the sender", k.v.Name(), o.how, c.pos(o.evPos))
 	case held:
-		// Whole-value use while held: the obligation escapes (poolpair's
-		// conservative contract).
+		// Whole-value use while held: the obligation escapes (the
+		// conservative contract in the package doc).
 		out := f.clone()
 		delete(out, k)
 		return out
@@ -634,9 +644,9 @@ func (c *checker) useWhole(f fact, k okey, o obl, pos token.Pos, what string) fa
 	return out
 }
 
-// scan walks an expression for uses of tracked buffers, mirroring poolpair's
-// protected positions: selector bases and nil comparisons of held buffers
-// are fine; the same through a released buffer is the stale-reference bug.
+// scan walks an expression for uses of tracked buffers. Selector bases and
+// nil comparisons of held buffers are fine; the same through a released
+// buffer is the stale-reference bug.
 func (c *checker) scan(f fact, e ast.Expr) fact {
 	if e == nil {
 		return f
@@ -670,9 +680,9 @@ func (c *checker) scan(f fact, e ast.Expr) fact {
 	case *ast.CallExpr:
 		return c.call(f, n)
 	case *ast.FuncLit:
-		// Whole-closure capture: a release inside satisfies the obligation
-		// (poolpair parity); any other capture of a held buffer escapes it,
-		// and capture of a released one is stale.
+		// Whole-closure capture: a release inside satisfies the obligation;
+		// any other capture of a held buffer escapes it, and capture of a
+		// released one is stale.
 		ast.Inspect(n.Body, func(m ast.Node) bool {
 			if call, ok := m.(*ast.CallExpr); ok {
 				f = c.applyBufReleases(f, call)
@@ -813,7 +823,7 @@ func (ps *pkgState) bufferParams(fn *ssalite.Func) map[int]*types.Var {
 	return out
 }
 
-// ---- recognizers (poolpair- and scale.go-shaped) ----
+// ---- recognizers (bufpool- and scale.go-shaped) ----
 
 // bufAcquireName reports the method name if call acquires a pool buffer.
 func (ps *pkgState) bufAcquireName(call *ast.CallExpr) string {

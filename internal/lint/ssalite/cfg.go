@@ -243,8 +243,7 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 			b.edge(b.cur, head, EdgeNext)
 		}
 		// The range head both decides (another element?) and defines the
-		// iteration variables; the statement is the controlling node and
-		// buildRefs records the Key/Value bindings against the head block.
+		// iteration variables; the statement is the controlling node.
 		b.cur = head
 		b.branch(n, body, after)
 		b.pushLoop(&loopScope{breakTo: after, continueTo: head, label: label})

@@ -1,7 +1,7 @@
 // Package ssalite is the lint suite's lightweight dataflow layer (DESIGN.md
-// S25): per-function control-flow graphs, def-use chains, a worklist
-// dataflow solver, and a package-level static call graph, all derived from
-// the `go/ast` + `go/types` information the loader already produces.
+// S25): per-function control-flow graphs, a worklist dataflow solver, and
+// static callee resolution, all derived from the `go/ast` + `go/types`
+// information the loader already produces.
 //
 // It is "SSA-lite" in the sense of golang.org/x/tools/go/cfg rather than
 // go/ssa: no value renaming or instruction lowering — blocks hold the
@@ -9,7 +9,7 @@
 // against source positions — but enough structure that an analyzer can be
 // flow-sensitive (facts per CFG edge rather than per syntax tree walk),
 // branch-sensitive (true/false edges out of conditions), and interprocedural
-// (call edges resolved through go/types, per-function summaries iterated to
+// (callees resolved through go/types, per-function summaries iterated to
 // a fixpoint). The driver builds one Info per package and shares it with
 // every analyzer through analysis.Pass.SSA.
 //
@@ -31,7 +31,7 @@
 //     `select {}` and an empty-body for loop have no successors at all.
 //   - Defer bodies are not in the CFG (they run at exit, after the facts
 //     under analysis are settled); they are collected in Func.Defers for
-//     analyzers that credit deferred cleanup, mirroring poolpair.
+//     analyzers that credit deferred cleanup.
 package ssalite
 
 import (
@@ -74,15 +74,6 @@ type Block struct {
 // String returns a short debug label.
 func (b *Block) String() string { return b.what }
 
-// Ref is one definition or use of a variable inside a function, addressed by
-// its CFG position (block + node index within the block).
-type Ref struct {
-	Block *Block
-	Index int // index into Block.Nodes; -1 for parameters (entry defs)
-	Ident *ast.Ident
-	Write bool
-}
-
 // Func is the SSA-lite view of one function or function literal.
 type Func struct {
 	// Node is the *ast.FuncDecl or *ast.FuncLit.
@@ -98,8 +89,6 @@ type Func struct {
 	Blocks []*Block
 	// Defers lists the function's defer statements (not part of the CFG).
 	Defers []*ast.DeferStmt
-
-	refs map[*types.Var][]Ref
 }
 
 // Name returns a human-readable identifier for diagnostics.
@@ -113,24 +102,9 @@ func (f *Func) Name() string {
 	return "func literal"
 }
 
-// Pos returns the function's source position.
-func (f *Func) Pos() token.Pos { return f.Node.Pos() }
-
-// Refs returns the definition/use sites of v inside f, in source order.
-func (f *Func) Refs(v *types.Var) []Ref { return f.refs[v] }
-
-// CallSite is one statically resolved call inside a function.
-type CallSite struct {
-	Caller *Func
-	Call   *ast.CallExpr
-	// Callee is the called function object (which may or may not have a
-	// body in this package — FuncOf reports).
-	Callee *types.Func
-}
-
 // Info is the SSA-lite view of one type-checked package: every function's
-// CFG plus the package-internal static call graph. Build one with Build;
-// the lint driver exposes it to analyzers as Pass.SSA.
+// CFG plus the object-to-body index that resolves package-local callees.
+// Build one with Build; the lint driver exposes it to analyzers as Pass.SSA.
 type Info struct {
 	Fset      *token.FileSet
 	Pkg       *types.Package
@@ -140,9 +114,8 @@ type Info struct {
 	// source order (literals after their enclosing declaration).
 	Funcs []*Func
 
-	funcOf    map[ast.Node]*Func
-	byObj     map[*types.Func]*Func
-	callsFrom map[*Func][]CallSite
+	funcOf map[ast.Node]*Func
+	byObj  map[*types.Func]*Func
 
 	neverReturns map[*Func]bool
 }
@@ -151,9 +124,8 @@ type Info struct {
 func Build(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info) *Info {
 	in := &Info{
 		Fset: fset, Pkg: pkg, TypesInfo: info,
-		funcOf:    map[ast.Node]*Func{},
-		byObj:     map[*types.Func]*Func{},
-		callsFrom: map[*Func][]CallSite{},
+		funcOf: map[ast.Node]*Func{},
+		byObj:  map[*types.Func]*Func{},
 	}
 	for _, f := range files {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -184,8 +156,8 @@ func Build(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *typ
 	return in
 }
 
-// addFunc registers fn, builds its CFG/def-use/call sites, and recurses into
-// nested function literals.
+// addFunc registers fn, builds its CFG, and recurses into nested function
+// literals.
 func (in *Info) addFunc(fn *Func) {
 	in.Funcs = append(in.Funcs, fn)
 	in.funcOf[fn.Node] = fn
@@ -193,8 +165,6 @@ func (in *Info) addFunc(fn *Func) {
 		in.byObj[fn.Obj] = fn
 	}
 	buildCFG(fn)
-	buildRefs(in.TypesInfo, fn)
-	in.collectCalls(fn)
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		if lit, ok := n.(*ast.FuncLit); ok {
 			in.addLit(lit, fn)
@@ -208,33 +178,12 @@ func (in *Info) addLit(lit *ast.FuncLit, parent *Func) {
 	in.addFunc(&Func{Node: lit, Parent: parent, Body: lit.Body})
 }
 
-// collectCalls records every statically resolvable call in fn (excluding
-// nested literals, which own their calls).
-func (in *Info) collectCalls(fn *Func) {
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if callee := in.StaticCallee(call); callee != nil {
-			in.callsFrom[fn] = append(in.callsFrom[fn], CallSite{Caller: fn, Call: call, Callee: callee})
-		}
-		return true
-	})
-}
-
 // FuncAt returns the Func for a *ast.FuncDecl or *ast.FuncLit node, or nil.
 func (in *Info) FuncAt(n ast.Node) *Func { return in.funcOf[n] }
 
 // FuncOf returns the Func whose body implements obj in this package, or nil
 // (external function, interface method, or bodyless declaration).
 func (in *Info) FuncOf(obj *types.Func) *Func { return in.byObj[obj] }
-
-// CallsFrom returns fn's statically resolved call sites in source order.
-func (in *Info) CallsFrom(fn *Func) []CallSite { return in.callsFrom[fn] }
 
 // StaticCallee resolves call to a function or method object, or nil for
 // dynamic calls (function values, type conversions, builtins).
@@ -255,7 +204,7 @@ func (in *Info) StaticCallee(call *ast.CallExpr) *types.Func {
 // package-local functions that themselves never return as terminating the
 // path. A dedicated poller loop with no shutdown path is NeverReturns; a
 // loop that can break, return, or panic is not. Computed to a fixpoint over
-// the package call graph at Build time.
+// the package's functions at Build time.
 func (in *Info) NeverReturns(fn *Func) bool { return in.neverReturns[fn] }
 
 // buildNeverReturns iterates exit-reachability to a fixpoint: marking one

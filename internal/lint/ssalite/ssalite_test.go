@@ -129,35 +129,6 @@ func TestNeverReturns(t *testing.T) {
 	}
 }
 
-// TestRefs checks def-use recording: parameter defs at entry, writes vs
-// reads, range bindings.
-func TestRefs(t *testing.T) {
-	in := load(t, cfgSrc)
-	f := fn(t, in, "bounded")
-	var sum *types.Var
-	for v := range f.refs {
-		if v.Name() == "sum" {
-			sum = v
-		}
-	}
-	if sum == nil {
-		t.Fatal("no refs for sum")
-	}
-	refs := f.Refs(sum)
-	writes, reads := 0, 0
-	for _, r := range refs {
-		if r.Write {
-			writes++
-		} else {
-			reads++
-		}
-	}
-	// sum := 0 and sum += i are writes; sum += i also reads; return sum reads.
-	if writes != 2 || reads < 2 {
-		t.Errorf("sum refs: %d writes, %d reads; want 2 writes, >=2 reads", writes, reads)
-	}
-}
-
 // TestSolveReachingBranch runs a tiny branch-sensitive flow: count the
 // blocks reached on the true side of `x > 0`.
 func TestSolveReachingBranch(t *testing.T) {
@@ -205,12 +176,17 @@ func f(x int) int {
 // TestCallGraph checks static call resolution and FuncOf round-trips.
 func TestCallGraph(t *testing.T) {
 	in := load(t, cfgSrc)
-	f := fn(t, in, "spinCall")
-	calls := in.CallsFrom(f)
-	if len(calls) != 1 || calls[0].Callee.Name() != "spin" {
-		t.Fatalf("spinCall calls = %v", calls)
+	var callees []*types.Func
+	ast.Inspect(fn(t, in, "spinCall").Body, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok {
+			callees = append(callees, in.StaticCallee(call))
+		}
+		return true
+	})
+	if len(callees) != 1 || callees[0] == nil || callees[0].Name() != "spin" {
+		t.Fatalf("spinCall callees = %v", callees)
 	}
-	if in.FuncOf(calls[0].Callee) != fn(t, in, "spin") {
+	if in.FuncOf(callees[0]) != fn(t, in, "spin") {
 		t.Error("FuncOf(spin) mismatch")
 	}
 }

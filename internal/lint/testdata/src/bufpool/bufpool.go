@@ -1,5 +1,5 @@
 // Package bufpool is a fixture stub mirroring the acquisition/release
-// surface of rpcoib/internal/bufpool that the poolpair analyzer matches on
+// surface of rpcoib/internal/bufpool that the regmem analyzer matches on
 // (Get/Acquire/Grow returning *Buffer, Put/Release/Grow consuming one, on a
 // package whose path ends in "bufpool").
 package bufpool

@@ -44,6 +44,18 @@ func fanout(q *queue, m map[string]int) {
 	_ = keys
 }
 
+type conn struct{}
+
+func (c *conn) Close() {}
+
+// teardown: closing a connection sends a FIN and closing a queue wakes its
+// waiters, so teardown in map order is as visible as a send in map order.
+func teardown(conns map[string]*conn) {
+	for _, c := range conns {
+		c.Close() // want `Close inside a range over a map`
+	}
+}
+
 type mailbox struct{}
 
 func (mb *mailbox) Post(dst int, v any) {}

@@ -1,7 +1,8 @@
 // Package regmemtest seeds the registered-memory bug classes the regmem
-// analyzer must catch — lost reservations, stale references after release,
-// retained buffers after channel/goroutine handoff — plus the defer,
-// owner-object, and interprocedural-release shapes it must accept.
+// analyzer must catch — leaks, double releases, discards, lost reservations,
+// stale references after release, retained buffers after channel/goroutine
+// handoff — plus the escape, Grow, defer, owner-object, and
+// interprocedural-release shapes it must accept.
 package regmemtest
 
 import (
@@ -85,7 +86,8 @@ func reserveHandoff(b *ibverbs.MemoryBudget) *owner {
 // --- stale buffer references ---
 
 type stream struct {
-	buf *bufpool.Buffer
+	buf  *bufpool.Buffer
+	pool *bufpool.ShadowPool
 }
 
 func useAfterRelease(p *bufpool.NativePool) {
@@ -190,4 +192,77 @@ func loopLeak(p *bufpool.NativePool, n int) {
 		b := p.Get(64) // want `overwritten before being released` `not released on any path`
 		use(b.Data)
 	}
+}
+
+// --- acquisition/release pairing ---
+
+func leak(p *bufpool.NativePool) {
+	b := p.Get(64) // want `not released on any path`
+	_ = b.Data
+	return
+}
+
+func ok(p *bufpool.NativePool) {
+	b := p.Get(64)
+	copy(b.Data, b.Data)
+	p.Put(b)
+}
+
+func branchLeak(p *bufpool.NativePool, flag bool) {
+	b := p.Get(64) // want `released on some paths but leaks on others`
+	if flag {
+		p.Put(b)
+	}
+	return
+}
+
+func errPathOK(p *bufpool.NativePool, flag bool) error {
+	b := p.Get(64)
+	if flag {
+		p.Put(b)
+		return nil
+	}
+	p.Put(b)
+	return nil
+}
+
+func doubleFree(p *bufpool.NativePool) {
+	b := p.Get(64)
+	p.Put(b)
+	p.Put(b) // want `released twice`
+}
+
+func discarded(p *bufpool.NativePool) {
+	p.Get(64)     // want `result of Get discarded`
+	_ = p.Get(64) // want `result of Get discarded`
+}
+
+func escapes(p *bufpool.NativePool, sink chan *bufpool.Buffer) *bufpool.Buffer {
+	a := p.Get(1)
+	sink <- a // whole-value use: the obligation transfers to the receiver
+	b := p.Get(2)
+	return b // returned: the caller owns the release
+}
+
+func fieldStore(s *stream, key int) {
+	s.buf = s.pool.Acquire(key)     // stored into a field: escapes with it
+	s.buf = s.pool.Grow(s.buf, 128) // Grow releases the old buffer; the result escapes into the field
+}
+
+func deferred(p *bufpool.ShadowPool, key int) {
+	b := p.Acquire(key)
+	defer p.Release(b)
+	b.Data[0] = 1
+}
+
+func overwrite(p *bufpool.NativePool) {
+	b := p.Get(8)
+	b = p.Get(16) // want `overwritten before being released`
+	p.Put(b)
+}
+
+func grow(p *bufpool.ShadowPool, key int) {
+	b := p.Acquire(key)
+	b = p.Grow(b, 256) // Grow releases b and hands back a fresh obligation
+	p.Release(b)
 }

@@ -155,8 +155,16 @@ func (c *childTask) runReduce(e exec.Env) {
 	// Shuffle: poll for completion events, fetch per-tracker batches.
 	conns := map[string]transport.Conn{}
 	defer func() {
-		for _, conn := range conns {
-			conn.Close()
+		// Each close puts a FIN on this node's NIC, so the order is visible
+		// to the rest of the simulation: close in address order, not map
+		// order, or the job's runtime varies from run to run.
+		addrs := make([]string, 0, len(conns))
+		for addr := range conns {
+			addrs = append(addrs, addr)
+		}
+		sort.Strings(addrs)
+		for _, addr := range addrs {
+			conns[addr].Close()
 		}
 	}()
 	var shuffled int64

@@ -124,9 +124,6 @@ func Deploy(c *cluster.Cluster, cfg Config, dfs *hdfs.HDFS) *MapReduce {
 	return mr
 }
 
-// JobTracker exposes the scheduler (tests).
-func (mr *MapReduce) JobTracker() *JobTracker { return mr.jt }
-
 // UmbilicalAddr returns the loopback umbilical address on node.
 func (mr *MapReduce) UmbilicalAddr(node int) string { return netsim.Addr(node, umbPort) }
 

@@ -184,16 +184,6 @@ func DurationBuckets() []int64 {
 	return bounds
 }
 
-// SizeBuckets returns the default byte-size bounds: powers of two from 64 B
-// to 16 MB, aligned with the buffer pool's size classes.
-func SizeBuckets() []int64 {
-	bounds := make([]int64, 19)
-	for i := range bounds {
-		bounds[i] = 64 << i
-	}
-	return bounds
-}
-
 // Registry holds named instruments. Get-or-create accessors make wiring
 // trivial: two subsystems asking for the same name share one instrument.
 type Registry struct {

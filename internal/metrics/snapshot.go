@@ -32,14 +32,6 @@ type HistSnapshot struct {
 	Exemplars map[int]uint64 `json:"exemplars,omitempty"`
 }
 
-// Mean returns the average observed value (0 when empty).
-func (h HistSnapshot) Mean() float64 {
-	if h.Count == 0 {
-		return 0
-	}
-	return float64(h.Sum) / float64(h.Count)
-}
-
 // Quantile estimates the q-quantile (0 < q <= 1) by linear interpolation
 // within the bucket that holds the target rank, clamped to the observed
 // min/max so small samples do not report values never seen. Values that

@@ -246,9 +246,6 @@ func (f *Fabric) SetLinkDown(a, b int, down bool) {
 	}
 }
 
-// LinkDown reports whether the a<->b link is down.
-func (f *Fabric) LinkDown(a, b int) bool { return f.linkDown[linkOf(a, b)] }
-
 // SetEgressDelay adds (or, with 0, clears) a fixed delivery delay on every
 // inter-node transfer sent *from* node on this fabric — an asymmetric
 // degradation, as from a marginal cable or a retraining link: the node's
@@ -262,9 +259,6 @@ func (f *Fabric) SetEgressDelay(node int, d time.Duration) {
 	}
 	f.egress[node] = d
 }
-
-// EgressDelay reports the node's configured egress delay (0 = none).
-func (f *Fabric) EgressDelay(node int) time.Duration { return f.egress[node] }
 
 // SetFaultHook installs (nil clears) the fault-injection hook consulted on
 // every inter-node transfer.

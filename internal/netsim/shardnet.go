@@ -61,11 +61,6 @@ type ShardFabric struct {
 	// barrier for cluster-wide totals.
 	delivered      []int64
 	deliveredBytes []int64
-
-	// observe, when set, runs on the destination shard at delivery time —
-	// the hook the sharded metrics layer uses to count traffic into the
-	// destination node's registry.
-	observe func(dst, size int)
 }
 
 // NewShardFabric creates a sharded fabric for nodes hosts over the given link
@@ -83,17 +78,6 @@ func NewShardFabric(k ShardKernel, params perfmodel.LinkParams, nodes int) *Shar
 		deliveredBytes: make([]int64, nodes),
 	}
 }
-
-// Params returns the fabric's link parameters.
-func (f *ShardFabric) Params() perfmodel.LinkParams { return f.params }
-
-// Lookahead returns the conservative lookahead this fabric guarantees: no
-// message arrives earlier than one link latency after it was sent.
-func (f *ShardFabric) Lookahead() time.Duration { return f.params.Latency }
-
-// SetObserver installs (nil clears) a delivery observer, run on the
-// destination shard when the last byte of a message arrives.
-func (f *ShardFabric) SetObserver(fn func(dst, size int)) { f.observe = fn }
 
 // Send moves size bytes from src to dst and runs deliver on dst's shard when
 // the last byte arrives. Must be called from src's shard context (an event or
@@ -128,9 +112,6 @@ func (f *ShardFabric) Send(src, dst, size int, deliver func()) {
 func (f *ShardFabric) finish(dst, size int, deliver func()) {
 	f.delivered[dst]++
 	f.deliveredBytes[dst] += int64(size)
-	if f.observe != nil {
-		f.observe(dst, size)
-	}
 	deliver()
 }
 

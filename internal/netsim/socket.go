@@ -79,7 +79,6 @@ type SocketConn struct {
 	f          *Fabric
 	localNode  int
 	remoteNode int
-	localAddr  string
 	remoteAddr string
 	in         *sim.Queue
 	peer       *SocketConn
@@ -99,9 +98,9 @@ func (f *Fabric) Dial(p *sim.Proc, srcNode int, addr string) (*SocketConn, error
 	f.connSeq++
 	clientAddr := Addr(srcNode, 50000+f.connSeq)
 	client := &SocketConn{f: f, localNode: srcNode, remoteNode: l.node,
-		localAddr: clientAddr, remoteAddr: addr, in: f.s.NewQueue(0)}
+		remoteAddr: addr, in: f.s.NewQueue(0)}
 	server := &SocketConn{f: f, localNode: l.node, remoteNode: srcNode,
-		localAddr: addr, remoteAddr: clientAddr, in: f.s.NewQueue(0)}
+		remoteAddr: clientAddr, in: f.s.NewQueue(0)}
 	client.peer, server.peer = server, client
 
 	done := f.s.NewQueue(1)
@@ -122,9 +121,6 @@ func (f *Fabric) Dial(p *sim.Proc, srcNode int, addr string) (*SocketConn, error
 	}
 	return client, nil
 }
-
-// LocalAddr returns this end's address.
-func (c *SocketConn) LocalAddr() string { return c.localAddr }
 
 // RemoteAddr returns the peer's address.
 func (c *SocketConn) RemoteAddr() string { return c.remoteAddr }

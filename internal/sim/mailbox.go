@@ -29,8 +29,7 @@ type Msg struct {
 // drained messages by their deterministic (At, SrcNode, SrcSeq) key before
 // scheduling them.
 type Mailbox struct {
-	head   atomic.Pointer[Msg]
-	pushed atomic.Int64
+	head atomic.Pointer[Msg]
 }
 
 // Push enqueues one message. Safe to call from any shard worker concurrently.
@@ -40,7 +39,6 @@ func (m *Mailbox) Push(at time.Duration, srcNode int, srcSeq uint64, fn func()) 
 		h := m.head.Load()
 		n.next = h
 		if m.head.CompareAndSwap(h, n) {
-			m.pushed.Add(1)
 			return
 		}
 	}
@@ -70,8 +68,3 @@ func (m *Mailbox) Drain() []*Msg {
 	})
 	return out
 }
-
-// Pushed reports the total number of messages ever pushed (an engine
-// statistic: it depends on the shard layout, so it must never feed a
-// replay-compared output).
-func (m *Mailbox) Pushed() int64 { return m.pushed.Load() }

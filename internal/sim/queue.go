@@ -40,9 +40,6 @@ func (s *Sim) NewQueue(capacity int) *Queue {
 // Len reports the number of buffered elements.
 func (q *Queue) Len() int { return len(q.items) }
 
-// Closed reports whether Close has been called.
-func (q *Queue) Closed() bool { return q.closed }
-
 // Close marks the queue closed. Blocked getters receive (nil, false) once the
 // buffer drains; blocked and future putters' values are dropped.
 func (q *Queue) Close() {
@@ -124,10 +121,6 @@ func (q *Queue) TryPut(v any) bool {
 	q.items = append(q.items, v)
 	return true
 }
-
-// PutKernel inserts a value from kernel context (e.g. a scheduled delivery
-// callback). Bounded capacity is not enforced from kernel context.
-func (q *Queue) PutKernel(v any) bool { return q.TryPutUnbounded(v) }
 
 // TryPutUnbounded inserts ignoring the capacity bound (used by network
 // deliveries, where the "buffer" backpressure is modeled elsewhere).

@@ -9,9 +9,6 @@ type Resource struct {
 	capacity int64
 	inUse    int64
 	waiters  []*waiter
-	// busyUntil supports the serialized-use pattern (UseFor with capacity 1
-	// models a store-and-forward link); tracked for introspection only.
-	grants int64
 }
 
 // NewResource creates a resource with the given capacity (must be >= 1).
@@ -22,15 +19,6 @@ func (s *Sim) NewResource(capacity int64) *Resource {
 	return &Resource{s: s, capacity: capacity}
 }
 
-// Capacity returns the configured capacity.
-func (r *Resource) Capacity() int64 { return r.capacity }
-
-// InUse returns the number of currently held units.
-func (r *Resource) InUse() int64 { return r.inUse }
-
-// Grants returns the total number of acquisitions ever granted.
-func (r *Resource) Grants() int64 { return r.grants }
-
 // Acquire blocks p until n units are available, then holds them.
 // n must be between 1 and the capacity.
 func (r *Resource) Acquire(p *Proc, n int64) {
@@ -39,22 +27,11 @@ func (r *Resource) Acquire(p *Proc, n int64) {
 	}
 	if len(r.waiters) == 0 && r.inUse+n <= r.capacity {
 		r.inUse += n
-		r.grants++
 		return
 	}
 	w := &waiter{p: p, n: n}
 	r.waiters = append(r.waiters, w)
 	p.block()
-}
-
-// TryAcquire acquires n units without blocking, reporting success.
-func (r *Resource) TryAcquire(n int64) bool {
-	if len(r.waiters) == 0 && r.inUse+n <= r.capacity {
-		r.inUse += n
-		r.grants++
-		return true
-	}
-	return false
 }
 
 // Release returns n units and grants any waiters that now fit, in FIFO order.
@@ -74,7 +51,6 @@ func (r *Resource) Release(n int64) {
 		}
 		r.waiters = r.waiters[1:]
 		r.inUse += w.n
-		r.grants++
 		w.deliver(nil, true)
 	}
 }

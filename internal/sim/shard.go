@@ -24,7 +24,6 @@ package sim
 import (
 	"fmt"
 	"math/rand"
-	"sync/atomic"
 	"time"
 )
 
@@ -53,9 +52,6 @@ type Shard struct {
 	sim   *Sim
 	inbox Mailbox
 }
-
-// ID returns the shard index.
-func (sh *Shard) ID() int { return sh.id }
 
 // Sim returns the shard's sequential kernel. Scheduling on it (At, After,
 // Spawn, NewQueue, NewResource) is only safe from the shard's own worker
@@ -91,7 +87,6 @@ type ShardedSim struct {
 	panics  []any
 	started bool
 	closed  bool
-	stop    atomic.Bool
 
 	barriers int64
 	merged   int64
@@ -136,10 +131,6 @@ func (ss *ShardedSim) Lookahead() time.Duration { return ss.look }
 func (ss *ShardedSim) Post(dst int, at time.Duration, srcNode int, srcSeq uint64, fn func()) {
 	ss.shards[dst].inbox.Push(at, srcNode, srcSeq, fn)
 }
-
-// Stop makes the current Run return at the next barrier. Safe to call from
-// any shard worker.
-func (ss *ShardedSim) Stop() { ss.stop.Store(true) }
 
 // Barriers reports how many synchronization rounds have run. The barrier
 // count depends only on the global event timeline, not the shard layout, so
@@ -187,7 +178,7 @@ func (ss *ShardedSim) worker(i int) {
 	}
 }
 
-// Run drives the simulation until no events remain anywhere (or Stop).
+// Run drives the simulation until no events remain anywhere.
 func (ss *ShardedSim) Run() time.Duration { return ss.RunUntil(-1) }
 
 // RunUntil drives the simulation up to and including events at the horizon
@@ -196,23 +187,19 @@ func (ss *ShardedSim) Run() time.Duration { return ss.RunUntil(-1) }
 // instants.
 func (ss *ShardedSim) RunUntil(horizon time.Duration) time.Duration {
 	ss.start()
-	for !ss.stop.Load() {
+	for {
 		// Barrier: workers are parked, so shard state is safe to touch.
 		for _, sh := range ss.shards {
 			ss.merged += int64(sh.merge(ss.lastW))
 		}
 		ss.barriers++
 		tmin := time.Duration(-1)
-		stopped := false
 		for _, sh := range ss.shards {
-			if sh.sim.Stopped() {
-				stopped = true
-			}
 			if t, ok := sh.sim.NextEventTime(); ok && (tmin < 0 || t < tmin) {
 				tmin = t
 			}
 		}
-		if stopped || tmin < 0 || (horizon >= 0 && tmin > horizon) {
+		if tmin < 0 || (horizon >= 0 && tmin > horizon) {
 			break
 		}
 		w := tmin + ss.look

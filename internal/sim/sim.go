@@ -36,7 +36,6 @@ type Sim struct {
 	procSeq  int
 	panicVal any
 	panicLoc string
-	stopped  bool
 }
 
 // New returns a simulator whose random source is seeded with seed.
@@ -101,12 +100,9 @@ func (s *Sim) At(at time.Duration, fn func()) { s.schedule(at, fn) }
 // After schedules fn to run in kernel context d from now.
 func (s *Sim) After(d time.Duration, fn func()) { s.schedule(s.now+d, fn) }
 
-// Stop makes Run return after the currently executing event completes.
-func (s *Sim) Stop() { s.stopped = true }
-
-// Run processes events until none remain, Stop is called, or every process
-// has finished and nothing further is scheduled. It returns the final
-// virtual time. If any process panicked, Run re-panics with its value.
+// Run processes events until none remain: every process has finished and
+// nothing further is scheduled. It returns the final virtual time. If any
+// process panicked, Run re-panics with its value.
 func (s *Sim) Run() time.Duration { return s.RunUntil(-1) }
 
 // RunUntil is Run bounded by a horizon: events strictly after until are left
@@ -114,7 +110,7 @@ func (s *Sim) Run() time.Duration { return s.RunUntil(-1) }
 // not popped, before the horizon check, so an event beyond the horizon costs
 // no churn — RunUntil in a polling loop used to pop and re-push it every call.
 func (s *Sim) RunUntil(until time.Duration) time.Duration {
-	for len(s.events) > 0 && !s.stopped {
+	for len(s.events) > 0 {
 		if until >= 0 && s.events[0].at > until {
 			s.now = until
 			break
@@ -133,7 +129,7 @@ func (s *Sim) RunUntil(until time.Duration) time.Duration {
 // run everything before w = barrier + lookahead because no cross-shard
 // message can arrive earlier than one lookahead after it was sent.
 func (s *Sim) RunBefore(w time.Duration) time.Duration {
-	for len(s.events) > 0 && !s.stopped {
+	for len(s.events) > 0 {
 		if s.events[0].at >= w {
 			break
 		}
@@ -154,9 +150,6 @@ func (s *Sim) NextEventTime() (at time.Duration, ok bool) {
 	return s.events[0].at, true
 }
 
-// Stopped reports whether Stop has been called.
-func (s *Sim) Stopped() bool { return s.stopped }
-
 func (s *Sim) checkPanic() {
 	if s.panicVal != nil {
 		panic(fmt.Sprintf("sim: process panic at t=%v in %s: %v", s.now, s.panicLoc, s.panicVal))
@@ -174,12 +167,6 @@ type Proc struct {
 	dead   bool
 }
 
-// Name returns the process name given at Spawn.
-func (p *Proc) Name() string { return p.name }
-
-// Sim returns the simulator that owns this process.
-func (p *Proc) Sim() *Sim { return p.sim }
-
 // Now returns the current virtual time.
 func (p *Proc) Now() time.Duration { return p.sim.now }
 
@@ -191,18 +178,6 @@ func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{sim: s, name: name, id: s.procSeq, resume: make(chan struct{})}
 	s.live++
 	s.schedule(s.now, func() {
-		go p.run(fn)
-		<-s.yield
-	})
-	return p
-}
-
-// SpawnAt is Spawn with a start delay.
-func (s *Sim) SpawnAt(d time.Duration, name string, fn func(p *Proc)) *Proc {
-	s.procSeq++
-	p := &Proc{sim: s, name: name, id: s.procSeq, resume: make(chan struct{})}
-	s.live++
-	s.schedule(s.now+d, func() {
 		go p.run(fn)
 		<-s.yield
 	})

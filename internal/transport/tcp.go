@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 
 	"rpcoib/internal/exec"
@@ -12,6 +13,13 @@ import (
 
 // maxFrame bounds a single message to guard against corrupt length prefixes.
 const maxFrame = 256 << 20
+
+// recvStep is the most memory a length prefix can commit before the bytes
+// behind it arrive. The prefix is unauthenticated: a frame up to recvStep
+// gets its one exact allocation up front, a larger one grows by recvStep as
+// its body is actually received, so a peer that announces maxFrame and sends
+// nothing costs the receiver one step, not the frame.
+const recvStep = 4 << 20
 
 // TCPNetwork is the real-mode transport: length-prefixed messages over
 // net.Conn. It ignores the exec.Env arguments (real blocking is real).
@@ -92,11 +100,19 @@ func (c *tcpConn) Recv(exec.Env) ([]byte, func(), error) {
 	if n > maxFrame {
 		return nil, nil, fmt.Errorf("transport: frame of %d bytes exceeds limit", n)
 	}
-	data := make([]byte, n)
-	if _, err := io.ReadFull(c.c, data); err != nil {
-		return nil, nil, err
+	size := int(n)
+	data := make([]byte, min(size, recvStep))
+	for have := 0; ; {
+		if _, err := io.ReadFull(c.c, data[have:]); err != nil {
+			return nil, nil, err
+		}
+		have = len(data)
+		if have == size {
+			return data, NopRelease, nil
+		}
+		step := min(size-have, recvStep)
+		data = slices.Grow(data, step)[:have+step]
 	}
-	return data, NopRelease, nil
 }
 
 func (c *tcpConn) Close()             { c.c.Close() }

@@ -2,6 +2,8 @@ package transport
 
 import (
 	"bytes"
+	"net"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -68,7 +70,7 @@ func TestTCPEmptyAndLargeMessages(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		for i := 0; i < 2; i++ {
+		for i := 0; i < 3; i++ {
 			data, release, err := conn.Recv(env)
 			if err != nil {
 				return
@@ -83,7 +85,10 @@ func TestTCPEmptyAndLargeMessages(t *testing.T) {
 	}
 	defer conn.Close()
 	big := bytes.Repeat([]byte{0x5a}, 1<<20)
-	for _, msg := range [][]byte{{}, big} {
+	// Past recvStep the receive buffer grows as the body arrives; a length
+	// that is not a multiple of the step exercises the short last step.
+	stepped := bytes.Repeat([]byte{0xa5}, 2*recvStep+3)
+	for _, msg := range [][]byte{{}, big, stepped} {
 		if err := conn.Send(env, msg); err != nil {
 			t.Fatal(err)
 		}
@@ -179,5 +184,41 @@ func TestTCPRecvAfterPeerClose(t *testing.T) {
 	}
 	if _, _, err := conn.Recv(env); err == nil {
 		t.Fatal("expected recv error after close")
+	}
+}
+
+// TestTCPRecvBoundsPrefixAllocation: a peer announces a frame just under
+// maxFrame, sends ten bytes of it, and hangs up. Recv must fail, having
+// allocated for the bytes that arrived (one recvStep), not for the prefix.
+func TestTCPRecvBoundsPrefixAllocation(t *testing.T) {
+	env := exec.NewRealEnv(1)
+	nw := NewTCPNetwork("")
+	ln, err := nw.Listen(env, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		peer, err := net.Dial("tcp", ln.Addr())
+		if err != nil {
+			return
+		}
+		peer.Write(append([]byte{0x0f, 0xff, 0xff, 0xff}, make([]byte, 10)...))
+		peer.Close()
+	}()
+	conn, err := ln.Accept(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err = conn.Recv(env)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("Recv of a truncated frame returned no error")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 8<<20 {
+		t.Fatalf("Recv allocated %d bytes for a 10-byte body behind a %d-byte prefix; want < 8 MiB", grew, 0x0fffffff)
 	}
 }

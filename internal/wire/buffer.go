@@ -29,15 +29,6 @@ type BufferStats struct {
 	WrittenBytes int64
 }
 
-// Add accumulates other into s.
-func (s *BufferStats) Add(other BufferStats) {
-	s.Adjustments += other.Adjustments
-	s.AllocBytes += other.AllocBytes
-	s.Allocs += other.Allocs
-	s.MovedBytes += other.MovedBytes
-	s.WrittenBytes += other.WrittenBytes
-}
-
 // DataOutputBuffer is the baseline Hadoop serialization buffer: a growable
 // byte array that starts small and, when written past capacity, reallocates
 // to max(2*cap, needed) and copies the old contents — the paper's

@@ -35,12 +35,6 @@ func NewDataOutput(sink ByteSink) *DataOutput { return &DataOutput{sink: sink} }
 // simulator charges per-operation serialization CPU from this.
 func (o *DataOutput) Ops() int64 { return o.ops }
 
-// ResetOps clears the operation counter.
-func (o *DataOutput) ResetOps() { o.ops = 0 }
-
-// Sink returns the underlying sink.
-func (o *DataOutput) Sink() ByteSink { return o.sink }
-
 // WriteU8 writes a single byte.
 func (o *DataOutput) WriteU8(b byte) {
 	o.ops++
