@@ -54,10 +54,10 @@ const busyRespBytes = 16
 
 // HammerConfig sizes the scenario. Zero values take the defaults noted.
 type HammerConfig struct {
-	Nodes   int           // hosts incl. the NameNode (default 64, min 2)
-	Clients int           // total clients over nodes 1..Nodes-1 (default 4×nodes)
-	Shards  int           // kernel shards (default 1)
-	Seed    int64         // simulation seed (default 1)
+	Nodes   int   // hosts incl. the NameNode (default 64, min 2)
+	Clients int   // total clients over nodes 1..Nodes-1 (default 4×nodes)
+	Shards  int   // kernel shards (default 1)
+	Seed    int64 // simulation seed (default 1)
 
 	Duration      time.Duration // virtual run length (default 50ms)
 	SnapshotEvery time.Duration // streamed snapshot cadence (default 5ms)

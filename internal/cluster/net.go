@@ -78,10 +78,15 @@ type sockConn struct{ c *netsim.SocketConn }
 
 var _ transport.SizedSender = (*sockConn)(nil)
 
-func (c *sockConn) Send(e exec.Env, data []byte) error { return c.c.Send(procOf(e), data) }
+// Send and SendSized copy data: transport.Conn.Send only borrows the slice,
+// but the simulated socket queues what it is given to the peer and delivers
+// it after the wire delay, by which time the sender has reused the buffer.
+func (c *sockConn) Send(e exec.Env, data []byte) error {
+	return c.c.Send(procOf(e), append([]byte(nil), data...))
+}
 
 func (c *sockConn) SendSized(e exec.Env, data []byte, size int) error {
-	return c.c.SendSized(procOf(e), data, size)
+	return c.c.SendSized(procOf(e), append([]byte(nil), data...), size)
 }
 
 func (c *sockConn) Recv(e exec.Env) ([]byte, func(), error) {
@@ -291,7 +296,7 @@ type ibListener struct {
 	sockLn *netsim.Listener
 	ibLns  []*ibverbs.EPListener  // one verbs listener per rail
 	muxLns []*ibverbs.MuxListener // per rail, non-nil entries when muxing is on
-	ready  exec.Queue // accepted transport.Conns (verbs and fallback sockets)
+	ready  exec.Queue             // accepted transport.Conns (verbs and fallback sockets)
 }
 
 // bootstrapLoop accepts connections on the IPoIB bootstrap channel. Each one

@@ -80,6 +80,10 @@ type Client struct {
 	m        clientMetrics
 	kinds    kindCache
 
+	// slots are the reply slots synchronous Calls have finished with, at most
+	// one per caller that was ever in a Call at once.
+	slots freeList[Future]
+
 	// Stats counts issued calls and failures.
 	Stats ClientStats
 }
@@ -127,21 +131,15 @@ type Connection struct {
 	streamBuf []byte // persistent BufferedOutputStream analog (baseline)
 	lastSend  time.Duration
 	lastUsed  time.Duration // last call issue, for idle reaping
-	closed    bool
 	closeErr  error
-}
+	// closed is written under mu, so the pending table and the flag change
+	// together, and read without it on the issue path.
+	closed atomic.Bool
 
-// touch records call activity for the idle reaper.
-func (conn *Connection) touch(now time.Duration) {
-	conn.mu.Lock()
-	conn.lastUsed = now
-	conn.mu.Unlock()
-}
-
-func (conn *Connection) isClosed() bool {
-	conn.mu.Lock()
-	defer conn.mu.Unlock()
-	return conn.closed
+	// The send side's encoder and registered-buffer stream belong to whoever
+	// holds sendMu: they are reset per request, never reallocated.
+	out    wire.DataOutput
+	stream RDMAOutputStream
 }
 
 func (conn *Connection) closeError() error {
@@ -191,7 +189,7 @@ func (c *Client) connection(e exec.Env, addr string) (*Connection, error) {
 	c.mu.Lock()
 	conn := c.conns[key]
 	c.mu.Unlock()
-	if conn != nil && !conn.isClosed() {
+	if conn != nil && !conn.closed.Load() {
 		return conn, nil
 	}
 	if conn != nil {
@@ -262,7 +260,7 @@ func (c *Client) reapIdle(e exec.Env, keep connKey) {
 		}
 		conn := c.conns[k]
 		conn.mu.Lock()
-		expired := !conn.closed && len(conn.calls) == 0 && now-conn.lastUsed >= maxIdle
+		expired := !conn.closed.Load() && len(conn.calls) == 0 && now-conn.lastUsed >= maxIdle
 		conn.mu.Unlock()
 		if expired {
 			delete(c.conns, k)
@@ -275,8 +273,11 @@ func (c *Client) reapIdle(e exec.Env, keep connKey) {
 	}
 }
 
-func (conn *Connection) addCall(id int32, f *Future) {
+// addCall registers f as the pending call id and records the activity for
+// the idle reaper.
+func (conn *Connection) addCall(now time.Duration, id int32, f *Future) {
 	conn.mu.Lock()
+	conn.lastUsed = now
 	conn.calls[id] = f
 	conn.mu.Unlock()
 	conn.client.m.outstanding.Inc()
@@ -304,10 +305,7 @@ func (conn *Connection) takeCall(id int32) *Future {
 // charges primaryFailure once before tearing down. now is the caller's
 // virtual time, for the cooldown clocks.
 func (conn *Connection) organicFail(now time.Duration, err error) {
-	conn.mu.Lock()
-	already := conn.closed
-	conn.mu.Unlock()
-	if !already && !conn.fallback {
+	if !conn.closed.Load() && !conn.fallback {
 		primaryFailure(conn.rs, conn.br, conn.rail, now)
 	}
 	conn.fail(err)
@@ -316,11 +314,11 @@ func (conn *Connection) organicFail(now time.Duration, err error) {
 // fail tears the connection down and fails every pending call.
 func (conn *Connection) fail(err error) {
 	conn.mu.Lock()
-	if conn.closed {
+	if conn.closed.Load() {
 		conn.mu.Unlock()
 		return
 	}
-	conn.closed = true
+	conn.closed.Store(true)
 	conn.closeErr = err
 	pending := conn.calls
 	conn.calls = map[int32]*Future{}
@@ -355,7 +353,10 @@ func (c *Client) Call(e exec.Env, addr, protocol, method string, param, reply wi
 	if p := c.opts.Policy; p.MaxAttempts > 1 || p.Deadline > 0 {
 		return c.CallWith(e, p, addr, protocol, method, param, reply)
 	}
-	return c.issue(e, addr, protocol, method, param, reply, c.timeout, 0).Wait(e)
+	f := c.issue(e, addr, protocol, method, param, reply, c.timeout, 0)
+	err := f.Wait(e)
+	c.recycle(f)
+	return err
 }
 
 // CallAsync starts protocol.method(param) on the server at addr and returns
@@ -396,17 +397,15 @@ func (c *Client) issue(e exec.Env, addr, protocol, method string, param, reply w
 	if conn.rs != nil && !conn.fallback {
 		conn.rs.countCall(conn.rail)
 	}
-	conn.touch(callStart)
 	id := c.idSeq.Add(1)
-	f := &Future{
-		c: c, conn: conn, id: id, kind: kind,
-		start: callStart, timeout: timeout, deadline: deadline,
-		reply: reply, replyQ: e.NewQueue(1), span: span,
-	}
-	conn.addCall(id, f)
+	f := c.newFuture(e)
+	f.conn, f.id, f.kind = conn, id, kind
+	f.start, f.timeout, f.deadline = callStart, timeout, deadline
+	f.reply, f.span = reply, span
+	conn.addCall(callStart, id, f)
 
 	conn.sendMu.lock(e)
-	if conn.isClosed() {
+	if conn.closed.Load() {
 		conn.sendMu.unlock()
 		conn.takeCall(id)
 		return c.failedFutureSpan(e, span, kind, ErrClosed)
@@ -445,13 +444,15 @@ func (c *Client) sendBaseline(e exec.Env, conn *Connection, id int32, deadline t
 	cost := c.cost()
 	t0 := e.Now()
 	d := wire.NewDataOutputBuffer()
-	out := wire.NewDataOutput(d)
-	encodeRequestHeader(out, id, deadline, tw, kind.Protocol, kind.Method)
+	out := &conn.out
+	out.Reset(d)
+	encodeRequestHeader(out, id, deadline, tw, kind)
 	if param != nil {
 		param.Write(out)
 	}
 	st := d.TakeStats()
 	c.work(e, cost.Serialize(out.Ops())+cost.Copy(d.Len())+c.bufferCost(st))
+	out.Reset(nil) // the connection's encoder must not pin this call's buffer
 	serialize := e.Now() - t0
 
 	t1 := e.Now()
@@ -509,10 +510,12 @@ func (c *Client) kind(protocol, method string) *clientKind {
 func (c *Client) sendRPCoIB(e exec.Env, conn *Connection, id int32, deadline time.Duration, tw traceWire, kind *clientKind, param wire.Writable) (sent, error) {
 	cost := c.cost()
 	t0 := e.Now()
-	s := NewRDMAOutputStream(c.opts.Pool, kind.poolKey)
+	s := &conn.stream
+	s.Reset(c.opts.Pool, kind.poolKey)
 	c.work(e, cost.PoolGet)
-	out := wire.NewDataOutput(s)
-	encodeRequestHeader(out, id, deadline, tw, kind.Protocol, kind.Method)
+	out := &conn.out
+	out.Reset(s)
+	encodeRequestHeader(out, id, deadline, tw, kind)
 	if param != nil {
 		param.Write(out)
 	}
@@ -530,9 +533,9 @@ func (c *Client) sendRPCoIB(e exec.Env, conn *Connection, id int32, deadline tim
 	if ps, ok := conn.tc.(transport.PooledSender); ok {
 		err = ps.SendPooled(e, buf, n)
 	} else {
-		// Real-mode fallback (plain TCP): the pool still eliminates the
-		// per-call serialization-buffer churn; the transport copy remains.
-		err = conn.tc.Send(e, append([]byte(nil), buf.Data[:n]...))
+		// Plain sockets: Send borrows the registered buffer for the write,
+		// so it goes down as it is and is released once Send returns.
+		err = conn.tc.Send(e, buf.Data[:n])
 	}
 	s.Release()
 	return sent{serialize: serialize, send: e.Now() - t1, bytes: n, adjustments: int64(s.Regets())}, err
@@ -556,6 +559,7 @@ func (conn *Connection) receiveLoop(e exec.Env) {
 	c := conn.client
 	cost := c.cost()
 	baseline := c.opts.Mode == ModeBaseline
+	in := new(wire.DataInput) // this thread's decoder, reset per response
 	for {
 		data, release, err := conn.tc.Recv(e)
 		if err != nil {
@@ -570,7 +574,7 @@ func (conn *Connection) receiveLoop(e exec.Env) {
 			c.work(e, cost.Syscall+cost.Alloc(4)+cost.Alloc(n)+cost.HeapNative(n))
 		}
 		c.work(e, cost.RPCOverhead)
-		in := wire.NewDataInput(data)
+		in.Reset(data)
 		if baseline {
 			in.ReadInt32() // frame length
 		}
@@ -600,13 +604,16 @@ func (conn *Connection) receiveLoop(e exec.Env) {
 			}
 		}
 		c.work(e, cost.Serialize(in.Ops())+cost.Copy(n))
+		in.Reset(nil) // a parked decoder must not pin the frame it last read
 		release()
 		if f != nil {
 			c.work(e, cost.ThreadHandoff)
 			// Completion is stamped here, not at Wait, so RTT accounting
 			// reflects the wire round trip even when the caller parks the
 			// future and collects it later. The outcome fields are published
-			// by the queue hand-off; nothing is boxed through the queue.
+			// by the queue hand-off; nothing is boxed through the queue. The
+			// hand-off is this thread's last touch of f: the waiter that
+			// consumes it may hand the slot to its next call at once.
 			f.outAt = e.Now()
 			f.replyQ.TryPut(nil)
 		}

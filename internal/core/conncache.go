@@ -30,7 +30,7 @@ const (
 // without lock-ordering hazards.
 type ConnCache struct {
 	mu      sync.Mutex
-	cap     int // 0 = unbounded
+	cap     int        // 0 = unbounded
 	order   *list.List // front = most recently used; elements hold *cacheEntry
 	index   map[RuntimeKey]*list.Element
 	onEvict func(RuntimeKey, any)

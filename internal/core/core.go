@@ -26,6 +26,7 @@
 package core
 
 import (
+	"sync"
 	"time"
 
 	"rpcoib/internal/bufpool"
@@ -270,7 +271,9 @@ func traceWireOf(sp *tracing.Span) traceWire {
 	return traceWire{trace: sp.Trace, span: sp.ID, parent: sp.Parent}
 }
 
-func encodeRequestHeader(out *wire.DataOutput, id int32, deadline time.Duration, tw traceWire, protocol, method string) {
+// encodeRequestHeader writes the header of a call of kind, whose protocol and
+// method names were encoded when the kind was resolved.
+func encodeRequestHeader(out *wire.DataOutput, id int32, deadline time.Duration, tw traceWire, kind *clientKind) {
 	out.WriteInt32(id)
 	if tw.trace == 0 {
 		out.WriteVLong(int64(deadline))
@@ -280,11 +283,14 @@ func encodeRequestHeader(out *wire.DataOutput, id int32, deadline time.Duration,
 		out.WriteVLong(int64(tw.span))
 		out.WriteVLong(int64(tw.parent))
 	}
-	out.WriteUTF(protocol)
-	out.WriteUTF(method)
+	out.WriteEncodedUTF(kind.protocolUTF)
+	out.WriteEncodedUTF(kind.methodUTF)
 }
 
-func decodeRequestHeader(in *wire.DataInput) (id int32, deadline time.Duration, tw traceWire, protocol, method string) {
+// decodeRequestHeader returns protocol and method as views into the message:
+// the server looks them up in the map Start froze and builds a string only to
+// report a name it does not serve.
+func decodeRequestHeader(in *wire.DataInput) (id int32, deadline time.Duration, tw traceWire, protocol, method []byte) {
 	id = in.ReadInt32()
 	v := in.ReadVLong()
 	if v < 0 {
@@ -294,9 +300,44 @@ func decodeRequestHeader(in *wire.DataInput) (id int32, deadline time.Duration, 
 		tw.parent = uint64(in.ReadVLong())
 	}
 	deadline = time.Duration(v)
-	protocol = in.ReadUTF()
-	method = in.ReadUTF()
+	protocol = in.ReadUTFBytes()
+	method = in.ReadUTFBytes()
 	return
+}
+
+// freeList keeps records whose last user has finished with them for the next
+// one: reply slots on a Client, call records on a Server. It is a plain
+// mutex-guarded list, not a sync.Pool, because a pool stays reachable from the
+// runtime's registry for two collections after its owner is dropped, and so
+// does everything the owner references (measured: +1 MB of peak RSS between
+// two of the benchmark's set-ups).
+type freeList[T any] struct {
+	mu    sync.Mutex
+	items []*T
+	limit int // most records kept; <= 0: no bound beyond how many were ever in use at once
+}
+
+// get returns a kept record, or nil when there is none.
+func (l *freeList[T]) get() *T {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := len(l.items)
+	if n == 0 {
+		return nil
+	}
+	x := l.items[n-1]
+	l.items[n-1] = nil
+	l.items = l.items[:n-1]
+	return x
+}
+
+// put keeps x unless the list is at its limit.
+func (l *freeList[T]) put(x *T) {
+	l.mu.Lock()
+	if l.limit <= 0 || len(l.items) < l.limit {
+		l.items = append(l.items, x)
+	}
+	l.mu.Unlock()
 }
 
 // emutex is a mutex usable from both environments, built on a capacity-1

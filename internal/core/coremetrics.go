@@ -213,9 +213,10 @@ func (m *clientMetrics) railCalls(rail int) *metrics.Counter {
 }
 
 // clientKind is everything the client keeps per <protocol,method>: the
-// shadow-pool history key and the kind's instruments (nil without a
-// registry). It is resolved on the kind's first call and cached, so the
-// steady-state call path builds no label and takes no registry lock.
+// shadow-pool history key, the two names as the request header carries them,
+// and the kind's instruments (nil without a registry). It is resolved on the
+// kind's first call and cached, so the steady-state call path builds no label
+// and takes no registry lock.
 //
 // issued, failed and the rtt histogram's count form the balance invariant the
 // fault-injection checker asserts after every run: issued == completed +
@@ -223,7 +224,8 @@ func (m *clientMetrics) railCalls(rail int) *metrics.Counter {
 // msgClass and classRepeats are Figure 3 (see profile.go for the views).
 type clientKind struct {
 	CallKind
-	poolKey string
+	poolKey                string
+	protocolUTF, methodUTF []byte // wire.EncodeUTF of the names
 
 	issued, failed  *metrics.Counter
 	rtt             *metrics.Histogram
@@ -235,7 +237,8 @@ type clientKind struct {
 }
 
 func (m *clientMetrics) newKind(k CallKind) *clientKind {
-	ck := &clientKind{CallKind: k, poolKey: poolKey(k.Protocol, k.Method)}
+	ck := &clientKind{CallKind: k, poolKey: poolKey(k.Protocol, k.Method),
+		protocolUTF: wire.EncodeUTF(k.Protocol), methodUTF: wire.EncodeUTF(k.Method)}
 	if r := m.reg; r != nil {
 		ck.issued = r.Counter(metrics.Labels(mClientIssued, "protocol", k.Protocol, "method", k.Method))
 		ck.failed = r.Counter(metrics.Labels(mClientFailed, "protocol", k.Protocol, "method", k.Method))

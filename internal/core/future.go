@@ -21,6 +21,11 @@ import (
 // A Future has a single logical consumer: the thread that issued the call
 // (or one it handed the future to). Two threads must not Wait on the same
 // Future concurrently.
+//
+// A future handed to a caller (CallAsync, FanOut) is that caller's for good.
+// The synchronous Call never lets its future out, so once it has waited it
+// gives the future — the reply slot and its queue — back for the client's
+// next call; see recycle for when that is safe.
 type Future struct {
 	c        *Client
 	conn     *Connection
@@ -36,12 +41,16 @@ type Future struct {
 	// after the queue hand-off, so the queue is their synchronization edge.
 	// The Future doubles as the connection's pending-call record: folding the
 	// outcome into it (rather than boxing a value through the queue) keeps
-	// the per-call allocation count down, which BenchmarkRealModeAllocs
-	// tracks. outAt stamps virtual completion time so RTT accounting charges
+	// the per-call allocation count down, which TestRealCallAllocBudget
+	// pins. outAt stamps virtual completion time so RTT accounting charges
 	// the wire round trip, not how long the caller postponed Wait.
 	reply  wire.Writable
 	outErr error
 	outAt  time.Duration
+
+	// handedOff records that resolve consumed the receiver's hand-off: the
+	// receiver thread is done with this future and nothing else holds it.
+	handedOff bool
 
 	// span is this attempt's client.call span (nil when untraced or sampled
 	// out). resolve ends it with the outcome; CallWith parents the next
@@ -81,7 +90,7 @@ func (f *Future) TryWait() (done bool, err error) {
 	if _, ok := f.replyQ.TryGet(); ok {
 		return true, f.resolve(true, false)
 	}
-	if f.conn.isClosed() {
+	if f.conn.closed.Load() {
 		// The reply may have raced the close; drain once more before
 		// resolving to the connection error.
 		if _, ok := f.replyQ.TryGet(); ok {
@@ -128,6 +137,7 @@ func (f *Future) resolve(ok, timedOut bool) error {
 		}
 	default:
 		err = f.outErr
+		f.handedOff = true
 	}
 	f.mu.Lock()
 	if f.done {
@@ -178,6 +188,30 @@ func (f *Future) resolve(ok, timedOut bool) error {
 		f.kind.rtt.ObserveExemplar(int64(f.outAt-f.start), f.span.TraceID())
 	}
 	return err
+}
+
+// newFuture returns a reply slot for the next call: one a synchronous Call
+// has given back, or a fresh one with its own hand-off queue.
+func (c *Client) newFuture(e exec.Env) *Future {
+	if f := c.slots.get(); f != nil {
+		return f
+	}
+	return &Future{c: c, replyQ: e.NewQueue(1)}
+}
+
+// recycle gives the future of a finished synchronous call back as the reply
+// slot of a later one. Only a future whose hand-off was consumed qualifies:
+// the receiver thread's last touch of it was that hand-off and the pending
+// table no longer lists it, so the caller is its sole holder. After a timeout
+// or a connection failure the receiver may still hold the pointer it took
+// from the table (and a failed connection closed the queue), so those
+// futures are left to the collector.
+func (c *Client) recycle(f *Future) {
+	if !f.handedOff {
+		return
+	}
+	*f = Future{c: c, replyQ: f.replyQ}
+	c.slots.put(f)
 }
 
 // failedFuture returns an already-resolved future for errors hit while
@@ -381,10 +415,12 @@ func (c *Client) CallWith(e exec.Env, p CallPolicy, addr, protocol, method strin
 		}
 		f := c.issue(ce, addr, protocol, method, param, reply, timeout, deadline)
 		err = f.Wait(e)
+		sc := f.span.Context()
+		c.recycle(f)
 		if err == nil || !retry(err) {
 			return err
 		}
-		if sc := f.span.Context(); sc.Trace != 0 {
+		if sc.Trace != 0 {
 			ce = tracing.WithSpan(e, sc)
 		}
 		if errors.Is(err, ErrServerTooBusy) {

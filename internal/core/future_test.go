@@ -18,9 +18,7 @@ type racingQueue struct {
 func (q *racingQueue) TryGet() (any, bool) {
 	q.polls++
 	if q.polls == 1 {
-		q.conn.mu.Lock()
-		q.conn.closed = true
-		q.conn.mu.Unlock()
+		q.conn.closed.Store(true)
 		return nil, false
 	}
 	return nil, true

@@ -26,11 +26,9 @@ func OpenConnectionCount(c *Client) int {
 	defer c.mu.Unlock()
 	n := 0
 	for _, conn := range c.conns {
-		conn.mu.Lock()
-		if !conn.closed {
+		if !conn.closed.Load() {
 			n++
 		}
-		conn.mu.Unlock()
 	}
 	return n
 }

@@ -60,7 +60,10 @@ func TestHostileMethodNamesBounded(t *testing.T) {
 // TestKillServerWhileIssuing: callers keep issuing while the receiver
 // goroutine tears the connection down under them. Every future must resolve
 // exactly once, and (under -race) the issue path's reads of the connection's
-// closed flag must not race the teardown's write.
+// closed flag must not race the teardown's write. Half the callers use the
+// synchronous Call, so the teardown catches calls in flight on reply slots
+// that earlier calls used and gave back: a slot the failed connection closed,
+// or one the receiver still held, must not come round again.
 func TestKillServerWhileIssuing(t *testing.T) {
 	env := exec.NewRealEnv(1)
 	opts := Options{Mode: ModeRPCoIB, CallTimeout: 10 * time.Second}
@@ -68,7 +71,7 @@ func TestKillServerWhileIssuing(t *testing.T) {
 	client := NewClient(transport.NewTCPNetwork(""), opts)
 	defer client.Close()
 
-	const callers, failuresEach = 2, 20
+	const callers, failuresEach = 4, 20
 	var succeeded atomic.Int64
 	var wg sync.WaitGroup
 	for g := 0; g < callers; g++ {
@@ -79,10 +82,18 @@ func TestKillServerWhileIssuing(t *testing.T) {
 			param := &wire.BytesWritable{Value: make([]byte, 64)}
 			for failures := 0; failures < failuresEach; {
 				var reply wire.BytesWritable
-				f := client.CallAsync(cenv, addr, "test.EchoProtocol", "echo", param, &reply)
-				err := f.Wait(cenv)
-				if again := f.Wait(cenv); again != err {
-					t.Errorf("second Wait returned %v, first %v", again, err)
+				var err error
+				if g%2 == 0 {
+					f := client.CallAsync(cenv, addr, "test.EchoProtocol", "echo", param, &reply)
+					err = f.Wait(cenv)
+					if again := f.Wait(cenv); again != err {
+						t.Errorf("second Wait returned %v, first %v", again, err)
+					}
+				} else {
+					err = client.Call(cenv, addr, "test.EchoProtocol", "echo", param, &reply)
+				}
+				if err == nil && len(reply.Value) != len(param.Value) {
+					t.Errorf("echoed %d bytes of %d", len(reply.Value), len(param.Value))
 				}
 				if err != nil {
 					failures++

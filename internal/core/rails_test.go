@@ -63,7 +63,7 @@ func (m *refRailModel) pick(now time.Duration, up func(int) bool) (int, bool) {
 	return best, false
 }
 
-func (m *refRailModel) onSuccess(rail int)  { m.down[rail], m.probing[rail] = false, false }
+func (m *refRailModel) onSuccess(rail int) { m.down[rail], m.probing[rail] = false, false }
 func (m *refRailModel) onFailure(rail int, now time.Duration) bool {
 	m.down[rail], m.probing[rail], m.failedAt[rail] = true, false, now
 	for r := 0; r < m.rails; r++ {

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"rpcoib/internal/bufpool"
 	"rpcoib/internal/exec"
 	"rpcoib/internal/tracing"
 	"rpcoib/internal/transport"
@@ -53,6 +54,11 @@ type Server struct {
 	running   bool
 	m         serverMetrics
 
+	// free are the call records the Responder has finished with, at most as
+	// many as the call queue and the handlers hold between them: a burst
+	// queued behind a slow Responder is not kept.
+	free freeList[serverCall]
+
 	// Stats counts server activity.
 	Stats ServerStats
 }
@@ -69,6 +75,7 @@ func NewServer(net transport.Network, opts Options) *Server {
 		protocols: map[string]map[string]*methodDef{},
 		m:         newServerMetrics(opts.Metrics),
 	}
+	s.free.limit = opts.CallQueueDepth + opts.Handlers
 	s.unknown = s.m.newMethodDef(unknownKind, unknownKind, nil, nil)
 	return s
 }
@@ -145,7 +152,10 @@ func (s *Server) Stop() {
 	s.respQ.Close()
 }
 
-// serverCall is one inbound invocation moving through the queues.
+// serverCall is one inbound invocation moving through the queues and, from
+// the handler on, its response: the Reader fills the request half, a Handler
+// (or sendControl) serializes the response half, the Responder sends it and
+// gives the record back for a later call.
 type serverCall struct {
 	id       int32
 	md       *methodDef    // the server's unknown record when no method serves the call
@@ -159,15 +169,17 @@ type serverCall struct {
 	// admission so the handler can emit the server.queue wait span.
 	span       *tracing.Span
 	enqueuedAt time.Duration
+
+	data   []byte           // baseline response: serialized heap buffer view
+	stream RDMAOutputStream // RPCoIB response: registered buffer to send + release
 }
 
-// response is one outbound result for the Responder.
-type response struct {
-	conn   transport.Conn
-	data   []byte            // baseline: serialized heap buffer view
-	stream *RDMAOutputStream // RPCoIB: registered buffer to send + release
-	md     *methodDef
-	span   *tracing.Span // server.call span to close after the send
+// newCall returns a zeroed call record.
+func (s *Server) newCall() *serverCall {
+	if call := s.free.get(); call != nil {
+		return call
+	}
+	return new(serverCall)
 }
 
 func (s *Server) listenLoop(e exec.Env) {
@@ -197,6 +209,7 @@ func (s *Server) listenLoop(e exec.Env) {
 func (s *Server) readerLoop(e exec.Env, conn transport.Conn) {
 	cost := s.cost()
 	baseline := s.opts.Mode == ModeBaseline
+	in := new(wire.DataInput) // this thread's decoder, reset per request
 	for {
 		data, release, err := conn.Recv(e)
 		if err != nil {
@@ -222,12 +235,13 @@ func (s *Server) readerLoop(e exec.Env, conn transport.Conn) {
 			s.work(e, cost.HeapNative(n))
 		}
 		s.work(e, cost.RPCOverhead)
-		in := wire.NewDataInput(data)
+		in.Reset(data)
 		if baseline {
 			in.ReadInt32() // frame length prefix
 		}
 		id, deadline, tw, protocol, method := decodeRequestHeader(in)
-		call := &serverCall{id: id, md: s.unknown, deadline: deadline, conn: conn}
+		call := s.newCall()
+		call.id, call.md, call.deadline, call.conn = id, s.unknown, deadline, conn
 		if tw.trace != 0 {
 			// Join the client's trace: the server.call span parents onto the
 			// client attempt span carried in the header. Untraced calls
@@ -236,11 +250,11 @@ func (s *Server) readerLoop(e exec.Env, conn transport.Conn) {
 			call.span = s.opts.Trace.Start("server.call", "server",
 				tracing.SpanContext{Trace: tw.trace, Span: tw.span}, t0)
 			if call.span != nil {
-				call.span.SetAttr("protocol", protocol)
-				call.span.SetAttr("method", method)
+				call.span.SetAttr("protocol", string(protocol))
+				call.span.SetAttr("method", string(method))
 			}
 		}
-		if md := s.protocols[protocol][method]; md != nil {
+		if md := s.protocols[string(protocol)][string(method)]; md != nil {
 			call.md = md
 			call.param = md.newParam()
 			call.param.ReadFields(in)
@@ -251,6 +265,7 @@ func (s *Server) readerLoop(e exec.Env, conn transport.Conn) {
 			call.errStr = fmt.Sprintf("unknown method %s.%s", protocol, method)
 		}
 		s.work(e, cost.Serialize(in.Ops())+cost.Copy(n))
+		in.Reset(nil) // a parked decoder must not pin the frame it last read
 		release()
 		procDur := e.Now() - t0
 		var wireDur time.Duration
@@ -338,22 +353,22 @@ func (s *Server) readerLoop(e exec.Env, conn transport.Conn) {
 // hands it to the Responder. It reports false when the server is stopping.
 func (s *Server) sendControl(e exec.Env, call *serverCall, status byte) bool {
 	cost := s.cost()
-	resp := &response{conn: call.conn, md: call.md, span: call.span}
+	var out wire.DataOutput
 	if s.opts.Mode == ModeRPCoIB {
-		st := NewRDMAOutputStream(s.opts.Pool, call.md.respKey)
+		st := &call.stream
+		st.Reset(s.opts.Pool, call.md.respKey)
 		s.work(e, cost.PoolGet)
-		out := wire.NewDataOutput(st)
-		writeControlBody(out, call.id, status, s.opts.BusyBackoff)
+		out.Reset(st)
+		writeControlBody(&out, call.id, status, s.opts.BusyBackoff)
 		s.work(e, cost.Serialize(out.Ops())+cost.Copy(st.Len())+s.regetCost(st))
-		resp.stream = st
 	} else {
 		d := wire.NewDataOutputBufferSize(wire.ServerInitialBufferSize)
-		out := wire.NewDataOutput(d)
-		writeControlBody(out, call.id, status, s.opts.BusyBackoff)
+		out.Reset(d)
+		writeControlBody(&out, call.id, status, s.opts.BusyBackoff)
 		s.work(e, cost.Serialize(out.Ops())+cost.Copy(d.Len())+s.bufferCost(d.TakeStats()))
-		resp.data = d.Data()
+		call.data = d.Data()
 	}
-	if !s.respQ.Put(e, resp) {
+	if !s.respQ.Put(e, call) {
 		return false
 	}
 	s.m.responderBacklog.Inc()
@@ -373,6 +388,7 @@ func writeControlBody(out *wire.DataOutput, id int32, status byte, backoff time.
 // a pooled registered buffer keyed by call kind in RPCoIB mode).
 func (s *Server) handlerLoop(e exec.Env) {
 	cost := s.cost()
+	out := new(wire.DataOutput) // this thread's encoder, reset per response
 	for {
 		v, ok := s.callQ.Get(e)
 		if !ok {
@@ -413,23 +429,24 @@ func (s *Server) handlerLoop(e exec.Env) {
 			s.m.callErrors.Inc()
 		}
 
-		resp := &response{conn: call.conn, md: call.md, span: call.span}
 		if s.opts.Mode == ModeRPCoIB {
-			st := NewRDMAOutputStream(s.opts.Pool, call.md.respKey)
+			st := &call.stream
+			st.Reset(s.opts.Pool, call.md.respKey)
 			s.work(e, cost.PoolGet)
-			out := wire.NewDataOutput(st)
+			out.Reset(st)
 			writeResponseBody(out, call.id, value, callErr)
 			s.work(e, cost.Serialize(out.Ops())+cost.Copy(st.Len())+s.regetCost(st))
-			resp.stream = st
 		} else {
 			// Default Hadoop: each handler allocates a fresh 10 KB buffer
 			// per call (Section II-A).
 			d := wire.NewDataOutputBufferSize(wire.ServerInitialBufferSize)
-			out := wire.NewDataOutput(d)
+			out.Reset(d)
 			writeResponseBody(out, call.id, value, callErr)
 			s.work(e, cost.Serialize(out.Ops())+cost.Copy(d.Len())+s.bufferCost(d.TakeStats()))
-			resp.data = d.Data()
+			call.data = d.Data()
 		}
+		out.Reset(nil)   // a parked encoder must not pin the response it last wrote
+		call.param = nil // a response waiting in respQ must not pin the request it answers
 		observeSince(call.md.handle, e, handleStart)
 		if call.span != nil {
 			if callErr != nil {
@@ -442,7 +459,7 @@ func (s *Server) handlerLoop(e exec.Env) {
 		}
 		s.m.handlersBusy.Dec()
 		s.work(e, cost.ThreadHandoff)
-		if !s.respQ.Put(e, resp) {
+		if !s.respQ.Put(e, call) {
 			return
 		}
 		s.m.responderBacklog.Inc()
@@ -513,54 +530,58 @@ func writeResponseBody(out *wire.DataOutput, id int32, value wire.Writable, call
 }
 
 // responderLoop is the paper's Responder thread: it sends every queued
-// response back on its originating connection.
+// response back on its originating connection, then recycles the record.
 func (s *Server) responderLoop(e exec.Env) {
-	cost := s.cost()
 	for {
 		v, ok := s.respQ.Get(e)
 		if !ok {
 			return
 		}
-		r := v.(*response)
+		r := v.(*serverCall)
 		s.m.responderBacklog.Dec()
-		respondStart := e.Now()
-		if r.stream != nil {
-			buf, n := r.stream.Buffer()
-			s.work(e, cost.RPCOverhead)
-			// The CQ is shared across connections: back-to-back sends from
-			// the responder reap the previous completion synchronously.
-			if s.lastReap > 0 && e.Now()-s.lastReap < cost.ReapIdleGap {
-				s.work(e, cost.SendReap)
-			}
-			s.lastReap = e.Now()
-			if ps, ok := r.conn.(transport.PooledSender); ok {
-				_ = ps.SendPooled(e, buf, n)
-			} else {
-				_ = r.conn.Send(e, append([]byte(nil), buf.Data[:n]...))
-			}
-			r.stream.Release()
-			s.Stats.BytesOut.Add(int64(n))
-			s.m.bytesOut.Add(int64(n))
-			observeSince(r.md.respond, e, respondStart)
-			s.closeCallSpan(e, r, respondStart)
-			continue
+		s.respond(e, r)
+		*r = serverCall{}
+		s.free.put(r)
+	}
+}
+
+func (s *Server) respond(e exec.Env, r *serverCall) {
+	cost := s.cost()
+	respondStart := e.Now()
+	var n int
+	if s.opts.Mode == ModeRPCoIB {
+		var buf *bufpool.Buffer
+		buf, n = r.stream.Buffer()
+		s.work(e, cost.RPCOverhead)
+		// The CQ is shared across connections: back-to-back sends from
+		// the responder reap the previous completion synchronously.
+		if s.lastReap > 0 && e.Now()-s.lastReap < cost.ReapIdleGap {
+			s.work(e, cost.SendReap)
 		}
-		n := len(r.data)
+		s.lastReap = e.Now()
+		if ps, ok := r.conn.(transport.PooledSender); ok {
+			_ = ps.SendPooled(e, buf, n)
+		} else {
+			_ = r.conn.Send(e, buf.Data[:n]) // borrowed for the write
+		}
+		r.stream.Release()
+	} else {
+		n = len(r.data)
 		frame := make([]byte, 4+n)
 		binary.BigEndian.PutUint32(frame, uint32(n))
 		copy(frame[4:], r.data)
 		s.work(e, cost.Copy(4+n)+cost.HeapNative(4+n)+cost.Syscall+cost.RPCOverhead)
 		_ = r.conn.Send(e, frame)
-		s.Stats.BytesOut.Add(int64(n))
-		s.m.bytesOut.Add(int64(n))
-		observeSince(r.md.respond, e, respondStart)
-		s.closeCallSpan(e, r, respondStart)
 	}
+	s.Stats.BytesOut.Add(int64(n))
+	s.m.bytesOut.Add(int64(n))
+	observeSince(r.md.respond, e, respondStart)
+	s.closeCallSpan(e, r, respondStart)
 }
 
 // closeCallSpan emits the server.reply stage (the Responder's send window)
 // and ends the server.call span — the response has left the server.
-func (s *Server) closeCallSpan(e exec.Env, r *response, respondStart time.Duration) {
+func (s *Server) closeCallSpan(e exec.Env, r *serverCall, respondStart time.Duration) {
 	if r.span == nil {
 		return
 	}

@@ -22,7 +22,17 @@ type RDMAOutputStream struct {
 
 // NewRDMAOutputStream acquires a history-sized buffer for call kind key.
 func NewRDMAOutputStream(pool *bufpool.ShadowPool, key string) *RDMAOutputStream {
-	return &RDMAOutputStream{pool: pool, key: key, buf: pool.Acquire(key)}
+	s := new(RDMAOutputStream)
+	s.Reset(pool, key)
+	return s
+}
+
+// Reset starts the stream over for call kind key, as NewRDMAOutputStream
+// would a fresh one. The engine keeps one stream per record that serializes
+// (a connection's send side, a server call) and resets it per message; the
+// previous message's buffer must have been Released.
+func (s *RDMAOutputStream) Reset(pool *bufpool.ShadowPool, key string) {
+	*s = RDMAOutputStream{pool: pool, key: key, buf: pool.Acquire(key)}
 }
 
 // Write implements wire.ByteSink.

@@ -187,8 +187,8 @@ func (d *Device) StallCQ(until time.Duration) {
 type recvMsg struct {
 	buf    *bufpool.Buffer
 	n      int
-	wire   int  // virtual wire size (>= n for bulk sends)
-	eager  bool // two-sided delivery into a bounce buffer (copy on receive)
+	wire   int        // virtual wire size (>= n for bulk sends)
+	eager  bool       // two-sided delivery into a bounce buffer (copy on receive)
 	stream uint64     // logical stream id on a muxed QP (0 = unmuxed)
 	ctrl   byte       // muxData or muxClose
 	cr     *SRQCredit // shared-receive-queue WQE held by this reception

@@ -196,7 +196,7 @@ func mix(x uint64) uint64 {
 // any JSON tooling.
 func (t *Tracer) nextID() uint64 {
 	for {
-		v := mix(t.seed ^ t.seq.Add(1)) & (1<<63 - 1)
+		v := mix(t.seed^t.seq.Add(1)) & (1<<63 - 1)
 		if v != 0 {
 			return v
 		}
@@ -212,19 +212,20 @@ func (t *Tracer) Start(name, kind string, parent SpanContext, at time.Duration) 
 	if t == nil {
 		return nil
 	}
+	root := parent.Trace == 0
+	if root && t.sampler.Mode == SampleEveryN && t.sampler.N > 1 {
+		if (t.roots.Add(1)-1)%uint64(t.sampler.N) != 0 {
+			t.sampledOut.Inc()
+			return nil // before the span exists: a sampled-out call allocates nothing here
+		}
+	}
 	sp := &Span{Name: name, Kind: kind, StartNS: int64(at), tr: t}
-	if parent.Trace != 0 {
+	if !root {
 		sp.Trace = parent.Trace
 		sp.Parent = parent.Span
 		sp.ID = t.nextID()
 		t.track(sp)
 		return sp
-	}
-	if t.sampler.Mode == SampleEveryN && t.sampler.N > 1 {
-		if (t.roots.Add(1)-1)%uint64(t.sampler.N) != 0 {
-			t.sampledOut.Inc()
-			return nil
-		}
 	}
 	sp.root = true
 	sp.Trace = t.nextID()

@@ -222,3 +222,216 @@ func TestTCPRecvBoundsPrefixAllocation(t *testing.T) {
 		t.Fatalf("Recv allocated %d bytes for a 10-byte body behind a %d-byte prefix; want < 8 MiB", grew, 0x0fffffff)
 	}
 }
+
+// TestTCPAddrAllocatesNothing: callers ask a listener (through Server.Addr)
+// and a connection for their address on every call, so both are formatted
+// once, when the socket is made.
+func TestTCPAddrAllocatesNothing(t *testing.T) {
+	env := exec.NewRealEnv(1)
+	nw := NewTCPNetwork("")
+	ln, err := nw.Listen(env, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	conn, err := nw.Dial(env, ln.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if conn.RemoteAddr() != ln.Addr() {
+		t.Fatalf("dialed %s, connection names %s", ln.Addr(), conn.RemoteAddr())
+	}
+	var sink string
+	if allocs := testing.AllocsPerRun(100, func() { sink = ln.Addr() }); allocs != 0 {
+		t.Errorf("Listener.Addr allocates %.0f times per call", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { sink = conn.RemoteAddr() }); allocs != 0 {
+		t.Errorf("Conn.RemoteAddr allocates %.0f times per call", allocs)
+	}
+	_ = sink
+}
+
+// TestTCPSendRefusesOversizedFrame: a frame the peer's Recv would reject is
+// refused before any of it is written, so the stream stays in step and the
+// next frame arrives whole.
+func TestTCPSendRefusesOversizedFrame(t *testing.T) {
+	env := exec.NewRealEnv(1)
+	nw := NewTCPNetwork("")
+	ln, err := nw.Listen(env, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	conn, err := nw.Dial(env, ln.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	peer, err := ln.Accept(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+
+	huge := make([]byte, maxFrame+1) // never touched: Send must refuse on its length alone
+	if err := conn.Send(env, huge); err == nil {
+		t.Fatal("Send accepted a frame longer than maxFrame")
+	}
+	if err := conn.Send(env, []byte("next")); err != nil {
+		t.Fatalf("Send after a refused frame: %v", err)
+	}
+	data, release, err := peer.Recv(env)
+	if err != nil {
+		t.Fatalf("Recv after a refused frame: %v", err)
+	}
+	defer release()
+	if string(data) != "next" {
+		t.Fatalf("peer received %q: part of the refused frame reached the wire", data)
+	}
+}
+
+// failingConn is a net.Conn whose Write fails part-way through the failAt-th
+// call and which, like a real socket, refuses every Write after Close.
+type failingConn struct {
+	net.Conn // nil: only the methods below are used
+	writes   int
+	failAt   int
+	wrote    bytes.Buffer
+	closed   bool
+}
+
+func (c *failingConn) Write(p []byte) (int, error) {
+	if c.closed {
+		return 0, net.ErrClosed
+	}
+	c.writes++
+	if c.writes == c.failAt {
+		n, _ := c.wrote.Write(p[:len(p)/2])
+		return n, &net.OpError{Op: "write", Err: net.ErrWriteToConnected}
+	}
+	return c.wrote.Write(p)
+}
+
+func (c *failingConn) Close() error         { c.closed = true; return nil }
+func (c *failingConn) RemoteAddr() net.Addr { return &net.TCPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 1} }
+
+// TestTCPSendFailureClosesConn: a write that fails with half a body on the
+// wire closes the connection, so a later Send cannot put a fresh prefix
+// behind the half frame for the peer to misread as body bytes.
+func TestTCPSendFailureClosesConn(t *testing.T) {
+	env := exec.NewRealEnv(1)
+	raw := &failingConn{failAt: 2} // the prefix goes out, the body breaks
+	conn := newTCPConn(raw)
+	if err := conn.Send(env, bytes.Repeat([]byte{7}, 100)); err == nil {
+		t.Fatal("Send reported no error for a short write")
+	}
+	if !raw.closed {
+		t.Fatal("a failed write left the connection open")
+	}
+	onWire := raw.wrote.Len()
+	if onWire != 4+50 {
+		t.Fatalf("%d bytes on the wire, want the prefix and half the body (54)", onWire)
+	}
+	if err := conn.Send(env, []byte("later")); err == nil {
+		t.Fatal("Send succeeded on a connection a failed write had closed")
+	}
+	if raw.wrote.Len() != onWire {
+		t.Fatalf("a later Send wrote %d bytes behind half a frame", raw.wrote.Len()-onWire)
+	}
+}
+
+// TestTCPRecvReusesBufferAfterRelease drives the receive buffer from a raw
+// peer: frames that arrive together, a prefix split across reads, a frame
+// that wraps the buffer's end, a view held across the next Recv, and a frame
+// too large for the buffer between small ones.
+func TestTCPRecvReusesBufferAfterRelease(t *testing.T) {
+	env := exec.NewRealEnv(1)
+	nw := NewTCPNetwork("")
+	ln, err := nw.Listen(env, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	peer, err := net.Dial("tcp", ln.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+	conn, err := ln.Accept(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	frame := func(fill byte, n int) []byte {
+		f := make([]byte, 4+n)
+		f[0], f[1], f[2], f[3] = byte(n>>24), byte(n>>16), byte(n>>8), byte(n)
+		for i := range f[4:] {
+			f[4+i] = fill + byte(i)
+		}
+		return f
+	}
+	check := func(data []byte, fill byte, n int) {
+		t.Helper()
+		if !bytes.Equal(data, frame(fill, n)[4:]) {
+			t.Fatalf("frame %d (%d bytes) arrived damaged (%d bytes)", fill, n, len(data))
+		}
+	}
+	recv := func(fill byte, n int) ([]byte, func()) {
+		t.Helper()
+		data, release, err := conn.Recv(env)
+		if err != nil {
+			t.Fatalf("Recv of frame %d: %v", fill, err)
+		}
+		check(data, fill, n)
+		return data, release
+	}
+
+	// Three frames in one segment, the third's prefix cut in two.
+	third := frame(3, 700)
+	peer.Write(append(append(frame(1, 10), frame(2, 0)...), third[:2]...))
+	_, release := recv(1, 10)
+	release()
+	_, release = recv(2, 0)
+	release()
+	got := make(chan struct{})
+	go func() {
+		defer close(got)
+		_, release := recv(3, 700)
+		release()
+	}()
+	peer.Write(third[2:])
+	<-got
+
+	// Enough frames to take the read offset round the buffer several times.
+	go func() {
+		for i := 0; i < 40; i++ {
+			peer.Write(frame(byte(i), 1000+i))
+		}
+	}()
+	for i := 0; i < 40; i++ {
+		_, release := recv(byte(i), 1000+i)
+		release()
+	}
+
+	// A view that is not released stays intact while later frames arrive.
+	peer.Write(append(frame(50, 3000), frame(51, 3000)...))
+	held, releaseHeld := recv(50, 3000)
+	_, release = recv(51, 3000)
+	release()
+	peer.Write(frame(52, 6000))
+	_, release = recv(52, 6000)
+	release()
+	check(held, 50, 3000)
+	releaseHeld()
+
+	// A frame larger than the buffer gets its own allocation; the small
+	// frame sent right behind it is not lost.
+	peer.Write(append(frame(60, 3*readBufSize), frame(61, 5)...))
+	big, release := recv(60, 3*readBufSize)
+	_, releaseSmall := recv(61, 5)
+	check(big, 60, 3*readBufSize)
+	release()
+	releaseSmall()
+}

@@ -19,11 +19,15 @@ import (
 
 // Conn is a reliable, ordered, message-oriented connection.
 type Conn interface {
-	// Send transmits one message.
+	// Send transmits one message. It borrows data: the caller may reuse or
+	// release the slice as soon as Send returns, so an implementation that
+	// delivers it later (a simulated socket queueing to its peer) takes its
+	// own copy, and one that writes it out before returning (TCP) takes none.
 	Send(e exec.Env, data []byte) error
 	// Recv blocks for the next message. release must be called exactly once
-	// when data is no longer needed (zero-copy transports repost the
-	// underlying registered buffer; others return a no-op).
+	// when data is no longer needed: zero-copy transports repost the
+	// underlying registered buffer, TCP reuses its receive buffer for the
+	// frames that follow. data is invalid after release.
 	Recv(e exec.Env) (data []byte, release func(), err error)
 	// Close tears the connection down; blocked Recvs fail.
 	Close()

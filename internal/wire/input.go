@@ -24,6 +24,10 @@ type DataInput struct {
 // NewDataInput wraps a complete received message.
 func NewDataInput(buf []byte) *DataInput { return &DataInput{buf: buf} }
 
+// Reset points the decoder at a new message, as NewDataInput would a fresh
+// one: a thread that decodes message after message owns one DataInput.
+func (in *DataInput) Reset(buf []byte) { *in = DataInput{buf: buf} }
+
 // Err returns the first decoding error, or nil.
 func (in *DataInput) Err() error { return in.err }
 
@@ -134,12 +138,16 @@ func (in *DataInput) ReadText() string {
 }
 
 // ReadUTF reads a Java writeUTF-style string (u16 length + UTF-8).
-func (in *DataInput) ReadUTF() string {
+func (in *DataInput) ReadUTF() string { return string(in.ReadUTFBytes()) }
+
+// ReadUTFBytes is ReadUTF returning a view into the message instead of a
+// string, for a reader that only looks the name up.
+func (in *DataInput) ReadUTFBytes() []byte {
 	if !in.need(2, "utf length") {
-		return ""
+		return nil
 	}
 	in.ops++
 	n := int(binary.BigEndian.Uint16(in.buf[in.pos:]))
 	in.pos += 2
-	return string(in.ReadBytes(n))
+	return in.ReadBytes(n)
 }

@@ -31,6 +31,11 @@ type DataOutput struct {
 // NewDataOutput wraps sink in an encoder.
 func NewDataOutput(sink ByteSink) *DataOutput { return &DataOutput{sink: sink} }
 
+// Reset points the encoder at sink with its operation count at zero, as
+// NewDataOutput would a fresh one: a thread (or a connection's send lock)
+// that encodes message after message owns one DataOutput.
+func (o *DataOutput) Reset(sink ByteSink) { o.sink, o.ops = sink, 0 }
+
 // Ops returns the number of primitive write operations issued so far; the
 // simulator charges per-operation serialization CPU from this.
 func (o *DataOutput) Ops() int64 { return o.ops }
@@ -103,4 +108,21 @@ func (o *DataOutput) WriteUTF(s string) {
 	o.sink.Write(o.scratch[:2])
 	o.ops++
 	o.sink.Write([]byte(s))
+}
+
+// EncodeUTF returns s in WriteUTF's encoding, for a caller that writes the
+// same string on every message.
+func EncodeUTF(s string) []byte {
+	p := make([]byte, 2, 2+len(s))
+	binary.BigEndian.PutUint16(p, uint16(len(s)))
+	return append(p, s...)
+}
+
+// WriteEncodedUTF writes a string EncodeUTF encoded, exactly as WriteUTF
+// would have: the same two sink writes, the same two operations counted.
+func (o *DataOutput) WriteEncodedUTF(p []byte) {
+	o.ops++
+	o.sink.Write(p[:2])
+	o.ops++
+	o.sink.Write(p[2:])
 }

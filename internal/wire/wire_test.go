@@ -3,6 +3,8 @@ package wire
 import (
 	"bytes"
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -391,5 +393,77 @@ func TestMapWritableLookup(t *testing.T) {
 	}
 	if v, ok := got.Values[0].(*IntWritable); !ok || v.Value != 7 {
 		t.Fatalf("value %#v", got.Values[0])
+	}
+}
+
+// writeSizes records the size of every sink write, the thing Algorithm 1's
+// doubling and the pooled stream's re-gets depend on.
+type writeSizes struct {
+	bytes []byte
+	sizes []int
+}
+
+func (s *writeSizes) Write(p []byte) {
+	s.bytes = append(s.bytes, p...)
+	s.sizes = append(s.sizes, len(p))
+}
+
+// TestEncodedUTFMatchesWriteUTF: a name encoded once and written with
+// WriteEncodedUTF must be indistinguishable from WriteUTF to everything
+// downstream: the same bytes, in the same sink writes, counted as the same
+// operations (modelled serialization cost is charged per operation).
+func TestEncodedUTFMatchesWriteUTF(t *testing.T) {
+	for _, s := range []string{"", "x", "org.apache.hadoop.hdfs.protocol.ClientProtocol", strings.Repeat("é", 300)} {
+		var direct, encoded writeSizes
+		a, b := NewDataOutput(&direct), NewDataOutput(&encoded)
+		a.WriteInt32(7)
+		a.WriteUTF(s)
+		b.WriteInt32(7)
+		b.WriteEncodedUTF(EncodeUTF(s))
+		if !bytes.Equal(direct.bytes, encoded.bytes) {
+			t.Errorf("%q: encoded form writes %x, WriteUTF %x", s, encoded.bytes, direct.bytes)
+		}
+		if !reflect.DeepEqual(direct.sizes, encoded.sizes) {
+			t.Errorf("%q: sink writes of %v bytes, WriteUTF's are %v", s, encoded.sizes, direct.sizes)
+		}
+		if a.Ops() != b.Ops() {
+			t.Errorf("%q: %d operations counted, WriteUTF counts %d", s, b.Ops(), a.Ops())
+		}
+		in := NewDataInput(encoded.bytes)
+		in.ReadInt32()
+		if got := in.ReadUTF(); got != s {
+			t.Errorf("read back %q, wrote %q", got, s)
+		}
+	}
+}
+
+// TestResetMatchesNew: a reused encoder or decoder starts each message as a
+// new one would, error and operation count included, and ReadUTFBytes counts
+// what ReadUTF counts.
+func TestResetMatchesNew(t *testing.T) {
+	var first, second writeSizes
+	out := NewDataOutput(&first)
+	out.WriteUTF("first message")
+	out.Reset(&second)
+	if out.Ops() != 0 {
+		t.Errorf("Ops = %d after Reset", out.Ops())
+	}
+	out.WriteUTF("second")
+	if string(first.bytes[2:]) != "first message" || string(second.bytes[2:]) != "second" {
+		t.Errorf("sinks hold %q and %q", first.bytes, second.bytes)
+	}
+
+	in := NewDataInput([]byte{0})
+	in.ReadInt64() // truncated: the error sticks
+	if in.Err() == nil {
+		t.Fatal("no error reading 8 bytes of 1")
+	}
+	in.Reset(second.bytes)
+	fresh := NewDataInput(second.bytes)
+	if got, want := string(in.ReadUTFBytes()), fresh.ReadUTF(); got != want || in.Err() != nil {
+		t.Errorf("after Reset read %q (err %v), a new DataInput reads %q", got, in.Err(), want)
+	}
+	if in.Ops() != fresh.Ops() || in.Remaining() != 0 {
+		t.Errorf("after Reset: %d ops, %d bytes left; a new DataInput: %d ops", in.Ops(), in.Remaining(), fresh.Ops())
 	}
 }
