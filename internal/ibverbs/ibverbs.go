@@ -134,6 +134,7 @@ type Device struct {
 	m          netInstruments
 	tr         *tracing.Tracer
 	stallUntil time.Duration
+	freeMsgs   []*recvMsg
 }
 
 // ConfigureSRQ attaches a shared receive queue to the device: depth posted
@@ -155,13 +156,19 @@ func (d *Device) SRQ() *SRQ { return d.srq }
 
 // reclaim returns one reception's buffer to the device pool and reposts its
 // SRQ WQE — the single exit for every delivery path (consumer release,
-// teardown, delivery to a closed endpoint, loss).
-func (d *Device) reclaim(msg recvMsg) {
+// teardown, delivery to a closed endpoint, loss). The record itself goes back
+// on the device's free list, so nothing may touch msg afterwards.
+func (d *Device) reclaim(msg *recvMsg) {
+	if msg.buf == nil {
+		panic("ibverbs: reception released twice")
+	}
 	d.recvPool.Put(msg.buf)
 	d.m.postedRecvs.Dec()
 	if msg.cr != nil {
 		d.srq.Release(msg.cr)
 	}
+	msg.buf, msg.cr, msg.to, msg.from = nil, nil, nil, nil
+	d.freeMsgs = append(d.freeMsgs, msg)
 }
 
 // Node returns the device's node id.
@@ -183,7 +190,12 @@ func (d *Device) StallCQ(until time.Duration) {
 	}
 }
 
-// recvMsg is one completed reception.
+// recvMsg is one reception, from the send that fills its pre-posted buffer to
+// the consumer's release: the fabric's delivery and loss callbacks, the
+// element queued on the receiving endpoint and the release handed to the
+// consumer are all this one record. Records are recycled through the
+// receiving device's free list with their callbacks bound once, so a message
+// costs no closure and no boxing.
 type recvMsg struct {
 	buf    *bufpool.Buffer
 	n      int
@@ -192,7 +204,78 @@ type recvMsg struct {
 	stream uint64     // logical stream id on a muxed QP (0 = unmuxed)
 	ctrl   byte       // muxData or muxClose
 	cr     *SRQCredit // shared-receive-queue WQE held by this reception
+
+	to, from *EndPoint     // receiving and sending ends
+	seq      int           // position in the sender's posting order
+	rnr      time.Duration // RNR retry delay the arrival pays
+
+	arrived   func() // m.arrive: the last byte is at the receiver
+	delivered func() // m.deliver: arrival after the RNR delay
+	granted   func() // m.writePayload: the rendezvous control message landed
+	lost      func() // m.lose
+	release   func() // m.reclaim: the consumer is done with the buffer
 }
+
+// newRecv takes a reception record for the next message from ep to its peer:
+// it assigns the message's place in the posting order and claims the peer's
+// shared-receive-queue WQE, as the send path always has before anything else.
+func (ep *EndPoint) newRecv() *recvMsg {
+	d := ep.peer.dev
+	var m *recvMsg
+	if k := len(d.freeMsgs); k > 0 {
+		m, d.freeMsgs[k-1] = d.freeMsgs[k-1], nil
+		d.freeMsgs = d.freeMsgs[:k-1]
+	} else {
+		m = &recvMsg{}
+		m.arrived, m.delivered, m.granted = m.arrive, m.deliver, m.writePayload
+		m.lost, m.release = m.lose, m.reclaim
+	}
+	m.to, m.from = ep.peer, ep
+	m.seq = ep.sendSeq
+	ep.sendSeq++
+	m.cr, m.rnr = ep.peer.srqConsume()
+	return m
+}
+
+// post snapshots data into one of the receiving device's pre-posted buffers
+// (NIC DMA, no CPU charge): the data leaves through the HCA now.
+func (m *recvMsg) post(data []byte) {
+	d := m.to.dev
+	m.buf, m.n = d.recvPool.Get(len(data)), len(data)
+	d.m.postedRecvs.Inc()
+	copy(m.buf.Data, data)
+}
+
+// arrive honors an RNR retry delay: the retransmitted message lands rnr
+// later, and the seq-ordered reorder buffer restores posting order around it.
+func (m *recvMsg) arrive() {
+	if m.rnr <= 0 {
+		m.deliver()
+		return
+	}
+	m.to.dev.fabric.Sim().After(m.rnr, m.delivered)
+}
+
+func (m *recvMsg) deliver() { m.to.deliver(m) }
+
+// writePayload is the second leg of a rendezvous: the one-sided write of the
+// payload once the control message has landed.
+func (m *recvMsg) writePayload() {
+	dev := m.from.dev
+	dev.fabric.TransferLossy(dev.node, m.to.dev.node, m.wire, m.arrived, m.lost)
+}
+
+// lose reclaims the pre-posted receive buffer and faults the queue pair. A
+// lost message would otherwise wedge the peer's in-order reorder buffer
+// forever, which is exactly how a reliable QP behaves — it goes to the error
+// state instead.
+func (m *recvMsg) lose() {
+	from := m.from
+	m.to.dev.reclaim(m)
+	from.fault()
+}
+
+func (m *recvMsg) reclaim() { m.to.dev.reclaim(m) }
 
 // EPListener accepts endpoint connections (the QP exchange the paper
 // bootstraps over the socket address).
@@ -264,9 +347,9 @@ type EndPoint struct {
 	remote string
 	cr     *SRQCredit // this end's account against the device SRQ, if any
 
-	sendSeq int             // sequence assigned at Send on this end
-	nextSeq int             // next sequence to release to recvQ
-	pending map[int]recvMsg // arrived out of order
+	sendSeq int              // sequence assigned at Send on this end
+	nextSeq int              // next sequence to release to recvQ
+	pending map[int]*recvMsg // arrived out of order
 }
 
 // srqConsume claims a shared-receive-queue WQE for a message arriving at
@@ -299,7 +382,7 @@ func (ep *EndPoint) teardown() {
 		if !ok {
 			break
 		}
-		ep.dev.reclaim(v.(recvMsg))
+		ep.dev.reclaim(v.(*recvMsg))
 	}
 	if len(ep.pending) > 0 {
 		seqs := make([]int, 0, len(ep.pending))
@@ -330,23 +413,28 @@ func (ep *EndPoint) fault() {
 
 // deliver releases msg (and any consecutively buffered successors) to the
 // receive queue, preserving send order. Runs in kernel context.
-func (ep *EndPoint) deliver(seq int, msg recvMsg) {
+func (ep *EndPoint) deliver(msg *recvMsg) {
 	if ep.closed {
 		ep.dev.reclaim(msg)
 		return
 	}
-	if ep.pending == nil {
-		ep.pending = map[int]recvMsg{}
+	if msg.seq != ep.nextSeq {
+		// Overtook an earlier rendezvous or RNR-delayed send: park it.
+		if ep.pending == nil {
+			ep.pending = map[int]*recvMsg{}
+		}
+		ep.pending[msg.seq] = msg
+		return
 	}
-	ep.pending[seq] = msg
 	for {
-		m, ok := ep.pending[ep.nextSeq]
+		ep.nextSeq++
+		ep.recvQ.TryPutUnbounded(msg)
+		next, ok := ep.pending[ep.nextSeq]
 		if !ok {
 			return
 		}
 		delete(ep.pending, ep.nextSeq)
-		ep.nextSeq++
-		ep.recvQ.TryPutUnbounded(m)
+		msg = next
 	}
 }
 
@@ -447,10 +535,10 @@ func (ep *EndPoint) sendMsg(p *sim.Proc, b *bufpool.Buffer, n, size int, stream 
 	}
 	dev.fabric.ChargeCPU(p, dev.node, dev.costs.VerbsPost)
 	peer := ep.peer
-	seq := ep.sendSeq
-	ep.sendSeq++
-	cr, rnr := peer.srqConsume()
-	if size <= dev.threshold {
+	msg := ep.newRecv()
+	msg.wire, msg.stream, msg.ctrl = size, stream, ctrl
+	msg.eager = size <= dev.threshold
+	if msg.eager {
 		dev.stats.EagerSends++
 		dev.m.eagerSends.Inc()
 		dev.stats.EagerBytes += int64(size)
@@ -459,14 +547,8 @@ func (ep *EndPoint) sendMsg(p *sim.Proc, b *bufpool.Buffer, n, size int, stream 
 			dev.stats.InlineSends++
 			dev.m.inlineSends.Inc()
 		}
-		// The data leaves through the HCA now; snapshot it into the peer's
-		// pre-posted receive buffer (NIC DMA, no CPU charge).
-		rx := peer.dev.recvPool.Get(n)
-		peer.dev.m.postedRecvs.Inc()
-		copy(rx.Data, b.Data[:n])
-		msg := recvMsg{buf: rx, n: n, wire: size, eager: true, stream: stream, ctrl: ctrl, cr: cr}
-		dev.fabric.TransferLossy(dev.node, peer.dev.node, size+eagerHeader+hdr,
-			peer.arrival(seq, msg, rnr), ep.lossOf(msg))
+		msg.post(b.Data[:n])
+		dev.fabric.TransferLossy(dev.node, peer.dev.node, size+eagerHeader+hdr, msg.arrived, msg.lost)
 		return nil
 	}
 	dev.stats.RDMASends++
@@ -474,41 +556,10 @@ func (ep *EndPoint) sendMsg(p *sim.Proc, b *bufpool.Buffer, n, size int, stream 
 	dev.stats.RDMABytes += int64(size)
 	dev.m.rdmaBytes.Add(int64(size))
 	dev.fabric.ChargeCPU(p, dev.node, dev.costs.VerbsPost) // the later RDMA-write post
-	rx := peer.dev.recvPool.Get(n)
-	peer.dev.m.postedRecvs.Inc()
-	copy(rx.Data, b.Data[:n])
+	msg.post(b.Data[:n])
 	// Rendezvous: control message first, then the one-sided payload write.
-	msg := recvMsg{buf: rx, n: n, wire: size, stream: stream, ctrl: ctrl, cr: cr}
-	lost := ep.lossOf(msg)
-	dev.fabric.TransferLossy(dev.node, peer.dev.node, ctrlBytes+hdr, func() {
-		dev.fabric.TransferLossy(dev.node, peer.dev.node, size,
-			ep.peer.arrival(seq, msg, rnr), lost)
-	}, lost)
+	dev.fabric.TransferLossy(dev.node, peer.dev.node, ctrlBytes+hdr, msg.granted, msg.lost)
 	return nil
-}
-
-// arrival builds the delivery callback for one in-flight message, honoring
-// an RNR retry delay: the retransmitted message lands rnr later, and the
-// seq-ordered reorder buffer restores posting order around it.
-func (ep *EndPoint) arrival(seq int, msg recvMsg, rnr time.Duration) func() {
-	if rnr <= 0 {
-		return func() { ep.deliver(seq, msg) }
-	}
-	return func() {
-		ep.dev.fabric.Sim().After(rnr, func() { ep.deliver(seq, msg) })
-	}
-}
-
-// lossOf builds the loss callback for one in-flight message: reclaim the
-// pre-posted receive buffer and fault the queue pair. A lost message would
-// otherwise wedge the peer's in-order reorder buffer forever, which is
-// exactly how a reliable QP behaves — it goes to the error state instead.
-func (ep *EndPoint) lossOf(msg recvMsg) func() {
-	peer := ep.peer
-	return func() {
-		peer.dev.reclaim(msg)
-		ep.fault()
-	}
 }
 
 // Recv blocks until a message completes, returning a view of the registered
@@ -527,7 +578,7 @@ func (ep *EndPoint) RecvMsg(p *sim.Proc) (data []byte, release func(), stream ui
 	if !ok {
 		return nil, nil, 0, 0, ErrClosed
 	}
-	msg := v.(recvMsg)
+	msg := v.(*recvMsg)
 	dev := ep.dev
 	if wait := dev.stallUntil - p.Now(); wait > 0 {
 		// An injected CQ stall: the completion is in the queue but the
@@ -544,7 +595,7 @@ func (ep *EndPoint) RecvMsg(p *sim.Proc) (data []byte, release func(), stream ui
 		cost += dev.costs.Copy(msg.wire)
 	}
 	dev.fabric.ChargeCPU(p, dev.node, cost)
-	return msg.buf.Data[:msg.n], func() { dev.reclaim(msg) }, msg.stream, msg.ctrl, nil
+	return msg.buf.Data[:msg.n], msg.release, msg.stream, msg.ctrl, nil
 }
 
 // WireTime reports the fabric occupancy of an n-byte message.

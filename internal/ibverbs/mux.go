@@ -42,15 +42,10 @@ func (ep *EndPoint) sendCtrl(stream uint64, ctrl byte) {
 		return
 	}
 	dev := ep.dev
-	peer := ep.peer
-	seq := ep.sendSeq
-	ep.sendSeq++
-	cr, rnr := peer.srqConsume()
-	rx := peer.dev.recvPool.Get(0)
-	peer.dev.m.postedRecvs.Inc()
-	msg := recvMsg{buf: rx, n: 0, wire: 0, eager: true, stream: stream, ctrl: ctrl, cr: cr}
-	dev.fabric.TransferLossy(dev.node, peer.dev.node, ctrlBytes+muxHeader,
-		peer.arrival(seq, msg, rnr), ep.lossOf(msg))
+	msg := ep.newRecv()
+	msg.wire, msg.eager, msg.stream, msg.ctrl = 0, true, stream, ctrl
+	msg.post(nil)
+	dev.fabric.TransferLossy(dev.node, ep.peer.dev.node, ctrlBytes+muxHeader, msg.arrived, msg.lost)
 }
 
 // Mux multiplexes logical endpoints over at most perPeer physical QPs per

@@ -36,6 +36,8 @@ type Fabric struct {
 	egress    map[int]time.Duration
 	hook      FaultHook
 	connTO    time.Duration
+	freeXfers []*xfer
+	freeMsgs  []*sizedMsg
 
 	// Delivered counts messages and bytes that completed transfer.
 	Delivered      int64
@@ -78,6 +80,49 @@ type heldXfer struct {
 	src, dst, size int
 	deliver        func()
 	lost           func()
+}
+
+// xfer is one transfer on its way to delivery. Records are recycled through
+// the fabric's free list, each with its completion callback bound once, so a
+// transfer schedules a kernel event without building a closure.
+type xfer struct {
+	f       *Fabric
+	size    int
+	deliver func()
+	done    func() // x.complete
+}
+
+// takeFree pops a recycled record off a free list; nil when it is empty.
+func takeFree[T any](free *[]*T) *T {
+	n := len(*free)
+	if n == 0 {
+		return nil
+	}
+	r := (*free)[n-1]
+	(*free)[n-1] = nil
+	*free = (*free)[:n-1]
+	return r
+}
+
+func (f *Fabric) newXfer(size int, deliver func()) *xfer {
+	x := takeFree(&f.freeXfers)
+	if x == nil {
+		x = &xfer{f: f}
+		x.done = x.complete
+	}
+	x.size, x.deliver = size, deliver
+	return x
+}
+
+// complete runs in kernel context when the last byte arrives. The record is
+// free again before deliver runs, so a delivery that sends reuses it.
+func (x *xfer) complete() {
+	f, deliver := x.f, x.deliver
+	f.Delivered++
+	f.DeliveredBytes += int64(x.size)
+	x.deliver = nil
+	f.freeXfers = append(f.freeXfers, x)
+	deliver()
 }
 
 type nic struct {
@@ -160,11 +205,7 @@ func (f *Fabric) TransferLossy(src, dst, size int, deliver, lost func()) {
 	if src == dst {
 		// Loopback: no NIC involvement, a fixed small kernel hop. Injected
 		// faults model the interconnect and never apply here.
-		f.s.At(now+loopbackLatency, func() {
-			f.Delivered++
-			f.DeliveredBytes += int64(size)
-			deliver()
-		})
+		f.s.At(now+loopbackLatency, f.newXfer(size, deliver).done)
 		return
 	}
 	if k := linkOf(src, dst); f.linkDown[k] {
@@ -193,11 +234,7 @@ func (f *Fabric) TransferLossy(src, dst, size int, deliver, lost func()) {
 	rxStart := maxDur(txStart+f.params.Latency, rx.rxFree)
 	rxDone := rxStart + dur
 	rx.rxFree = rxDone
-	f.s.At(rxDone+delay, func() {
-		f.Delivered++
-		f.DeliveredBytes += int64(size)
-		deliver()
-	})
+	f.s.At(rxDone+delay, f.newXfer(size, deliver).done)
 	if dup {
 		// The duplicate burns wire time on both NICs but is not delivered.
 		txStart := maxDur(now, tx.txFree)

@@ -145,19 +145,42 @@ func (c *SocketConn) SendSized(p *sim.Proc, data []byte, size int) error {
 		size = len(data)
 	}
 	c.f.ChargeCPU(p, c.localNode, c.f.params.StackCPU(size))
-	peer := c.peer
-	c.f.Transfer(c.localNode, c.remoteNode, size, func() {
-		if !peer.closed {
-			peer.in.TryPutUnbounded(sizedMsg{data: data, size: size})
-		}
-	})
+	c.f.Transfer(c.localNode, c.remoteNode, size, c.f.newMsg(c.peer, data, size).arrived)
 	return nil
 }
 
-// sizedMsg carries a real payload plus its virtual wire size.
+// sizedMsg carries a real payload plus its virtual wire size from a send to
+// the matching receive: it is the transfer's delivery callback and then the
+// element queued on the receiving conn. Records are recycled through the
+// fabric's free list.
 type sizedMsg struct {
-	data []byte
-	size int
+	to      *SocketConn
+	data    []byte
+	size    int
+	arrived func() // m.arrive
+}
+
+func (f *Fabric) newMsg(to *SocketConn, data []byte, size int) *sizedMsg {
+	m := takeFree(&f.freeMsgs)
+	if m == nil {
+		m = &sizedMsg{}
+		m.arrived = m.arrive
+	}
+	m.to, m.data, m.size = to, data, size
+	return m
+}
+
+// arrive queues the message on the receiving conn, or drops it when that
+// side has closed. Kernel context.
+func (m *sizedMsg) arrive() {
+	if m.to.closed || !m.to.in.TryPutUnbounded(m) {
+		m.to.f.recycle(m)
+	}
+}
+
+func (f *Fabric) recycle(m *sizedMsg) {
+	m.to, m.data = nil, nil
+	f.freeMsgs = append(f.freeMsgs, m)
 }
 
 // Recv blocks until a message arrives and charges receive-side stack CPU.
@@ -172,9 +195,11 @@ func (c *SocketConn) RecvSized(p *sim.Proc) ([]byte, int, error) {
 	if !ok {
 		return nil, 0, ErrClosed
 	}
-	m := v.(sizedMsg)
-	c.f.ChargeCPU(p, c.localNode, c.f.params.StackCPU(m.size))
-	return m.data, m.size, nil
+	m := v.(*sizedMsg)
+	data, size := m.data, m.size
+	c.f.recycle(m)
+	c.f.ChargeCPU(p, c.localNode, c.f.params.StackCPU(size))
+	return data, size, nil
 }
 
 // WireTime reports how long an n-byte message occupies the wire (transfer

@@ -2,33 +2,71 @@ package sim
 
 import "time"
 
-// waiter represents a process blocked on a queue or resource. The canceled
-// flag lets two competing wake sources (e.g. a delivery and a timeout) race
-// safely: whichever fires first cancels the other, and a scheduled wake
-// event for a canceled waiter is a no-op.
-type waiter struct {
-	p        *Proc
-	val      any  // value delivered to a getter
-	ok       bool // delivery succeeded (false: queue closed or timed out)
-	canceled bool
-	n        int64 // units requested (resources) / element delivered (queues)
+// ring is a FIFO on a power-of-two array (the exec.realQueue layout): a
+// steady queue reuses its slots instead of walking a slice off its backing
+// array, and a popped slot is cleared so it pins nothing.
+type ring[T comparable] struct {
+	buf  []T // len is zero or a power of two
+	head int // index of the oldest element
+	n    int
 }
 
-func (w *waiter) deliver(v any, ok bool) {
-	w.val, w.ok = v, ok
-	w.canceled = true // consume the waiter; competing timeout becomes no-op
-	w.p.wake()
+func (r *ring[T]) push(v T) {
+	if r.n == len(r.buf) {
+		grown := make([]T, max(2*len(r.buf), 4))
+		for i := 0; i < r.n; i++ {
+			grown[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
+		}
+		r.buf, r.head = grown, 0
+	}
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = v
+	r.n++
+}
+
+// first returns the oldest element of a non-empty ring without removing it.
+func (r *ring[T]) first() T { return r.buf[r.head] }
+
+// pop removes the oldest element; ok is false when the ring is empty.
+func (r *ring[T]) pop() (v T, ok bool) {
+	if r.n == 0 {
+		return v, false
+	}
+	var zero T
+	v = r.buf[r.head]
+	r.buf[r.head] = zero
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
+	return v, true
+}
+
+// remove unlinks the first element equal to v, keeping the others in order.
+func (r *ring[T]) remove(v T) {
+	mask := len(r.buf) - 1
+	for i := 0; i < r.n; i++ {
+		if r.buf[(r.head+i)&mask] != v {
+			continue
+		}
+		for ; i < r.n-1; i++ {
+			r.buf[(r.head+i)&mask] = r.buf[(r.head+i+1)&mask]
+		}
+		var zero T
+		r.buf[(r.head+i)&mask] = zero
+		r.n--
+		return
+	}
 }
 
 // Queue is a FIFO channel between simulated processes. A capacity of zero or
 // less means unbounded. Queues preserve both element order and waiter order,
-// so runs remain deterministic.
+// so runs remain deterministic. A blocked process is linked on getters or
+// putters until it is delivered to or its timeout expires, so both hold only
+// processes still waiting.
 type Queue struct {
 	s       *Sim
 	cap     int
-	items   []any
-	getters []*waiter
-	putters []*waiter
+	items   ring[any]
+	getters ring[*Proc]
+	putters ring[*Proc] // each holds the value it is putting in its val
 	closed  bool
 }
 
@@ -38,7 +76,7 @@ func (s *Sim) NewQueue(capacity int) *Queue {
 }
 
 // Len reports the number of buffered elements.
-func (q *Queue) Len() int { return len(q.items) }
+func (q *Queue) Len() int { return q.items.n }
 
 // Close marks the queue closed. Blocked getters receive (nil, false) once the
 // buffer drains; blocked and future putters' values are dropped.
@@ -47,43 +85,27 @@ func (q *Queue) Close() {
 		return
 	}
 	q.closed = true
-	for _, w := range q.putters {
-		if !w.canceled {
-			w.deliver(nil, false)
+	for {
+		w, ok := q.putters.pop()
+		if !ok {
+			break
 		}
+		w.deliver(nil, false)
 	}
-	q.putters = nil
-	if len(q.items) == 0 {
-		for _, w := range q.getters {
-			if !w.canceled {
-				w.deliver(nil, false)
-			}
-		}
-		q.getters = nil
+	if q.items.n == 0 {
+		q.failGetters()
 	}
 }
 
-// popGetter removes and returns the first live getter, if any.
-func (q *Queue) popGetter() *waiter {
-	for len(q.getters) > 0 {
-		w := q.getters[0]
-		q.getters = q.getters[1:]
-		if !w.canceled {
-			return w
+// failGetters tells every blocked getter the queue is closed and drained.
+func (q *Queue) failGetters() {
+	for {
+		w, ok := q.getters.pop()
+		if !ok {
+			return
 		}
+		w.deliver(nil, false)
 	}
-	return nil
-}
-
-func (q *Queue) popPutter() *waiter {
-	for len(q.putters) > 0 {
-		w := q.putters[0]
-		q.putters = q.putters[1:]
-		if !w.canceled {
-			return w
-		}
-	}
-	return nil
 }
 
 // Put appends v, blocking p while a bounded queue is full. Putting to a
@@ -92,17 +114,17 @@ func (q *Queue) Put(p *Proc, v any) bool {
 	if q.closed {
 		return false
 	}
-	if g := q.popGetter(); g != nil {
+	if g, ok := q.getters.pop(); ok {
 		g.deliver(v, true)
 		return true
 	}
-	if q.cap > 0 && len(q.items) >= q.cap {
-		w := &waiter{p: p, val: v}
-		q.putters = append(q.putters, w)
+	if q.cap > 0 && q.items.n >= q.cap {
+		p.val = v
+		q.putters.push(p)
 		p.block()
-		return w.ok
+		return p.ok
 	}
-	q.items = append(q.items, v)
+	q.items.push(v)
 	return true
 }
 
@@ -111,14 +133,14 @@ func (q *Queue) TryPut(v any) bool {
 	if q.closed {
 		return false
 	}
-	if g := q.popGetter(); g != nil {
+	if g, ok := q.getters.pop(); ok {
 		g.deliver(v, true)
 		return true
 	}
-	if q.cap > 0 && len(q.items) >= q.cap {
+	if q.cap > 0 && q.items.n >= q.cap {
 		return false
 	}
-	q.items = append(q.items, v)
+	q.items.push(v)
 	return true
 }
 
@@ -128,35 +150,35 @@ func (q *Queue) TryPutUnbounded(v any) bool {
 	if q.closed {
 		return false
 	}
-	if g := q.popGetter(); g != nil {
+	if g, ok := q.getters.pop(); ok {
 		g.deliver(v, true)
 		return true
 	}
-	q.items = append(q.items, v)
+	q.items.push(v)
 	return true
 }
 
 func (q *Queue) take() (any, bool) {
-	if len(q.items) == 0 {
+	v, ok := q.items.pop()
+	if !ok {
 		return nil, false
 	}
-	v := q.items[0]
-	q.items[0] = nil
-	q.items = q.items[1:]
 	// A freed slot may unblock a putter.
-	if pw := q.popPutter(); pw != nil {
-		q.items = append(q.items, pw.val)
+	if pw, ok := q.putters.pop(); ok {
+		q.items.push(pw.val)
 		pw.deliver(nil, true)
 	}
-	if q.closed && len(q.items) == 0 {
-		for _, w := range q.getters {
-			if !w.canceled {
-				w.deliver(nil, false)
-			}
-		}
-		q.getters = nil
+	if q.closed && q.items.n == 0 {
+		q.failGetters()
 	}
 	return v, true
+}
+
+// delivered returns what a getter's wake brought and drops the process's
+// reference to it.
+func (p *Proc) delivered() (v any, ok bool) {
+	v, p.val = p.val, nil
+	return v, p.ok
 }
 
 // Get removes and returns the head element, blocking p while the queue is
@@ -168,17 +190,18 @@ func (q *Queue) Get(p *Proc) (v any, ok bool) {
 	if q.closed {
 		return nil, false
 	}
-	w := &waiter{p: p}
-	q.getters = append(q.getters, w)
+	q.getters.push(p)
 	p.block()
-	return w.val, w.ok
+	return p.delivered()
 }
 
 // TryGet removes and returns the head element without blocking.
 func (q *Queue) TryGet() (v any, ok bool) { return q.take() }
 
 // GetTimeout is Get bounded by a timeout. timedOut reports that the timeout
-// fired before an element arrived.
+// fired before an element arrived. The timeout is an event of its own: when
+// it pops first it unlinks p and schedules the wake (Proc.expire), when a
+// delivery beat it it pops as a no-op.
 func (q *Queue) GetTimeout(p *Proc, d time.Duration) (v any, ok, timedOut bool) {
 	if v, ok := q.take(); ok {
 		return v, true, false
@@ -189,20 +212,14 @@ func (q *Queue) GetTimeout(p *Proc, d time.Duration) (v any, ok, timedOut bool) 
 	if d <= 0 {
 		return nil, false, true
 	}
-	w := &waiter{p: p}
-	q.getters = append(q.getters, w)
-	timeout := false
-	q.s.After(d, func() {
-		if w.canceled {
-			return
-		}
-		w.canceled = true
-		timeout = true
-		p.wake()
-	})
+	q.getters.push(p)
+	p.timer++
+	p.timedQ, p.timedOut = q, false
+	q.s.schedule(q.s.now+d, event{p: p, gen: p.timer, timeout: true})
 	p.block()
-	if timeout {
+	if p.timedOut {
 		return nil, false, true
 	}
-	return w.val, w.ok, false
+	v, ok = p.delivered()
+	return v, ok, false
 }

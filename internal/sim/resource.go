@@ -8,7 +8,7 @@ type Resource struct {
 	s        *Sim
 	capacity int64
 	inUse    int64
-	waiters  []*waiter
+	waiters  ring[*Proc] // each holds the units it asked for in its n
 }
 
 // NewResource creates a resource with the given capacity (must be >= 1).
@@ -25,12 +25,12 @@ func (r *Resource) Acquire(p *Proc, n int64) {
 	if n < 1 || n > r.capacity {
 		panic("sim: invalid acquire count")
 	}
-	if len(r.waiters) == 0 && r.inUse+n <= r.capacity {
+	if r.waiters.n == 0 && r.inUse+n <= r.capacity {
 		r.inUse += n
 		return
 	}
-	w := &waiter{p: p, n: n}
-	r.waiters = append(r.waiters, w)
+	p.n = n
+	r.waiters.push(p)
 	p.block()
 }
 
@@ -40,16 +40,12 @@ func (r *Resource) Release(n int64) {
 	if r.inUse < 0 {
 		panic("sim: resource released more than acquired")
 	}
-	for len(r.waiters) > 0 {
-		w := r.waiters[0]
-		if w.canceled {
-			r.waiters = r.waiters[1:]
-			continue
-		}
+	for r.waiters.n > 0 {
+		w := r.waiters.first()
 		if r.inUse+w.n > r.capacity {
 			break
 		}
-		r.waiters = r.waiters[1:]
+		r.waiters.pop()
 		r.inUse += w.n
 		w.deliver(nil, true)
 	}

@@ -70,7 +70,7 @@ func (sh *Shard) merge(barrier time.Duration) int {
 			panic(fmt.Sprintf("sim: cross-shard message to shard %d violates lookahead: deliver at %v but the window up to %v already ran (sender must post at least one lookahead ahead)",
 				sh.id, m.At, barrier))
 		}
-		sh.sim.schedule(m.At, m.Fn)
+		sh.sim.At(m.At, m.Fn)
 	}
 	return len(msgs)
 }

@@ -2,10 +2,14 @@
 //
 // The kernel runs simulated processes as goroutines but enforces strictly
 // cooperative, one-at-a-time execution: exactly one goroutine (either the
-// kernel loop or a single process) is runnable at any instant, and control
-// is handed off explicitly through per-process channels. All simulator state
-// may therefore be accessed without locks, and a run is bit-for-bit
-// reproducible given the same seed.
+// driver, i.e. whoever called Run, or a single process) holds control at any
+// instant, and it passes control on explicitly. The run loop moves with
+// control: a process that blocks pops the next event itself. If that event is
+// its own wake it simply carries on; if it wakes another process, control is
+// handed to that process directly; only a callback event, an empty heap, the
+// run's horizon or a panic hands control back to the driver, which alone runs
+// callbacks (DESIGN.md S30). All simulator state may therefore be accessed
+// without locks, and a run is bit-for-bit reproducible given the same seed.
 //
 // Time is virtual. Processes advance it only by blocking: Sleep, queue
 // operations (see Queue), and resource acquisition (see Resource). Events
@@ -14,8 +18,8 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 )
@@ -23,14 +27,26 @@ import (
 // Sim is a discrete-event simulator instance. Create one with New, add
 // processes with Spawn, and drive it with Run or RunUntil.
 type Sim struct {
-	now    time.Duration
-	seq    uint64
-	events eventHeap
-	rng    *rand.Rand
+	now time.Duration
+	seq uint64
+	// Pending events, split by kind so that each heap stays cheap: a timed
+	// wait that is delivered to leaves its timeout behind until its instant
+	// comes (a 120 s call timeout outlives the call by 120 s), so timeouts
+	// pile up by the hundred thousand, pushed in nearly sorted order and
+	// rarely popped, while the wakes and callbacks that every blocking
+	// operation pushes and pops number a few dozen. The next event is the
+	// earlier of the two tops.
+	events   eventHeap // wakes and callbacks
+	timeouts eventHeap
+	rng      *rand.Rand
 
-	// yield is signalled by a process when it blocks or exits, returning
-	// control to the kernel loop.
-	yield chan struct{}
+	// horizon is the last instant the current run may process; whoever pops
+	// events, driver or process, leaves later ones alone.
+	horizon time.Duration
+	// driver is signalled when control returns to the goroutine inside Run.
+	// Buffered so the goroutine giving control up never waits for the driver
+	// to reach its receive.
+	driver chan struct{}
 
 	live     int // processes spawned and not yet finished
 	procSeq  int
@@ -41,8 +57,8 @@ type Sim struct {
 // New returns a simulator whose random source is seeded with seed.
 func New(seed int64) *Sim {
 	return &Sim{
-		rng:   rand.New(rand.NewSource(seed)),
-		yield: make(chan struct{}),
+		rng:    rand.New(rand.NewSource(seed)),
+		driver: make(chan struct{}, 1),
 	}
 }
 
@@ -57,48 +73,106 @@ func (s *Sim) Rand() *rand.Rand { return s.rng }
 // yet returned.
 func (s *Sim) Live() int { return s.live }
 
-// event is a scheduled kernel action.
+// event is a scheduled kernel action, held by value in the heap: a callback
+// (fn), the wake of a blocked or not yet started process (p), or the expiry
+// of p's timed wait number gen (timeout).
 type event struct {
-	at  time.Duration
-	seq uint64
-	fn  func()
+	at      time.Duration
+	seq     uint64
+	fn      func()
+	p       *Proc
+	gen     uint32
+	timeout bool
 }
 
+func (e *event) before(o *event) bool {
+	return e.at < o.at || (e.at == o.at && e.seq < o.seq)
+}
+
+// eventHeap is a 4-ary min-heap on (at, seq). seq is unique, so that is a
+// total order and the pop sequence does not depend on the heap's shape.
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (hp *eventHeap) push(e event) {
+	h := append(*hp, e)
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 4
+		if !e.before(&h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
 	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
+	h[i] = e
+	*hp = h
 }
 
-// schedule enqueues fn to run in kernel context at time at. It may be called
-// from kernel context or from a running process (both are exclusive).
-func (s *Sim) schedule(at time.Duration, fn func()) {
+// pop removes and returns the earliest event. The vacated slot is cleared so
+// the heap's spare capacity pins no process or closure.
+func (hp *eventHeap) pop() event {
+	h := *hp
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = event{}
+	h = h[:n]
+	*hp = h
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		first := 4*i + 1
+		if first >= n {
+			break
+		}
+		min := first
+		for c := first + 1; c < first+4 && c < n; c++ {
+			if h[c].before(&h[min]) {
+				min = c
+			}
+		}
+		if !h[min].before(&last) {
+			break
+		}
+		h[i] = h[min]
+		i = min
+	}
+	h[i] = last
+	return top
+}
+
+// earliest returns the heap holding the next event; it is empty only when
+// nothing at all is scheduled.
+func (s *Sim) earliest() *eventHeap {
+	if len(s.timeouts) > 0 && (len(s.events) == 0 || s.timeouts[0].before(&s.events[0])) {
+		return &s.timeouts
+	}
+	return &s.events
+}
+
+// schedule enqueues e at time at. It may be called from kernel context or
+// from a running process (both are exclusive).
+func (s *Sim) schedule(at time.Duration, e event) {
 	if at < s.now {
 		at = s.now
 	}
 	s.seq++
-	heap.Push(&s.events, event{at: at, seq: s.seq, fn: fn})
+	e.at, e.seq = at, s.seq
+	if e.timeout {
+		s.timeouts.push(e)
+	} else {
+		s.events.push(e)
+	}
 }
 
 // At schedules fn to run in kernel context at absolute virtual time at.
 // fn must not block; to run blocking code, spawn a process from within fn.
-func (s *Sim) At(at time.Duration, fn func()) { s.schedule(at, fn) }
+func (s *Sim) At(at time.Duration, fn func()) { s.schedule(at, event{fn: fn}) }
 
 // After schedules fn to run in kernel context d from now.
-func (s *Sim) After(d time.Duration, fn func()) { s.schedule(s.now+d, fn) }
+func (s *Sim) After(d time.Duration, fn func()) { s.schedule(s.now+d, event{fn: fn}) }
 
 // Run processes events until none remain: every process has finished and
 // nothing further is scheduled. It returns the final virtual time. If any
@@ -106,19 +180,16 @@ func (s *Sim) After(d time.Duration, fn func()) { s.schedule(s.now+d, fn) }
 func (s *Sim) Run() time.Duration { return s.RunUntil(-1) }
 
 // RunUntil is Run bounded by a horizon: events strictly after until are left
-// unprocessed (pass a negative horizon for no bound). The heap top is peeked,
-// not popped, before the horizon check, so an event beyond the horizon costs
-// no churn — RunUntil in a polling loop used to pop and re-push it every call.
+// unprocessed (pass a negative horizon for no bound), and when one is left
+// the clock stops at the horizon.
 func (s *Sim) RunUntil(until time.Duration) time.Duration {
-	for len(s.events) > 0 {
-		if until >= 0 && s.events[0].at > until {
-			s.now = until
-			break
-		}
-		e := heap.Pop(&s.events).(event)
-		s.now = e.at
-		e.fn()
-		s.checkPanic()
+	if until < 0 {
+		s.run(math.MaxInt64)
+		return s.now
+	}
+	s.run(until)
+	if len(*s.earliest()) > 0 {
+		s.now = until
 	}
 	return s.now
 }
@@ -129,25 +200,65 @@ func (s *Sim) RunUntil(until time.Duration) time.Duration {
 // run everything before w = barrier + lookahead because no cross-shard
 // message can arrive earlier than one lookahead after it was sent.
 func (s *Sim) RunBefore(w time.Duration) time.Duration {
-	for len(s.events) > 0 {
-		if s.events[0].at >= w {
-			break
+	s.run(w - 1)
+	return s.now
+}
+
+// run is the driver's loop: it pops every event up to the horizon, runs the
+// callbacks itself and lends control to the processes. While a process has
+// control the driver is parked on s.driver, and processes pass control among
+// themselves (see Proc.block) until something only the driver may do comes
+// up, so one receive here can cover many events.
+func (s *Sim) run(horizon time.Duration) {
+	s.horizon = horizon
+	for {
+		h := s.earliest()
+		if len(*h) == 0 || (*h)[0].at > horizon {
+			return
 		}
-		e := heap.Pop(&s.events).(event)
+		e := h.pop()
 		s.now = e.at
-		e.fn()
+		switch {
+		case e.fn != nil:
+			e.fn()
+		case e.timeout:
+			e.p.expire(e.gen)
+		default:
+			e.p.switchTo()
+			<-s.driver
+		}
 		s.checkPanic()
 	}
-	return s.now
+}
+
+// nextProc pops events on behalf of a process giving control up and returns
+// the process to hand it to. It returns nil when control must go back to the
+// driver: the next event is a callback or lies past the horizon, nothing is
+// scheduled, or a process has panicked.
+func (s *Sim) nextProc() *Proc {
+	for s.panicVal == nil {
+		h := s.earliest()
+		if len(*h) == 0 || (*h)[0].fn != nil || (*h)[0].at > s.horizon {
+			break
+		}
+		e := h.pop()
+		s.now = e.at
+		if !e.timeout {
+			return e.p
+		}
+		e.p.expire(e.gen)
+	}
+	return nil
 }
 
 // NextEventTime peeks the earliest pending event time without disturbing the
 // heap. ok is false when nothing is scheduled.
 func (s *Sim) NextEventTime() (at time.Duration, ok bool) {
-	if len(s.events) == 0 {
+	h := *s.earliest()
+	if len(h) == 0 {
 		return 0, false
 	}
-	return s.events[0].at, true
+	return h[0].at, true
 }
 
 func (s *Sim) checkPanic() {
@@ -160,11 +271,28 @@ func (s *Sim) checkPanic() {
 // resource operations) take the calling process so the kernel knows whom to
 // suspend; a Proc must only ever be used by the goroutine running it.
 type Proc struct {
-	sim    *Sim
-	name   string
-	id     int
+	sim  *Sim
+	name string
+	id   int
+	fn   func(*Proc) // body; its goroutine starts at the first wake
+	// resume is signalled to hand control to this process. Buffered so the
+	// goroutine handing over never waits for p to reach its receive.
 	resume chan struct{}
-	dead   bool
+
+	// Wait record: what a queue or resource hands a blocked process. It
+	// lives here, not in a record of its own, because a process blocks on
+	// one thing at a time.
+	val any   // value delivered to a getter, or held by a blocked putter
+	ok  bool  // delivery succeeded (false: queue closed)
+	n   int64 // units requested from a resource
+	// timedQ is the queue p waits on with a timeout armed; delivery and
+	// expiry both clear it, so whichever comes second finds nothing to do.
+	// timer numbers p's timed waits: a timeout event carrying an older
+	// number belongs to a wait that is over and pops as a no-op. (It would
+	// take 2^32 timed waits inside one timeout to confuse two.)
+	timedQ   *Queue
+	timer    uint32
+	timedOut bool
 }
 
 // Now returns the current virtual time.
@@ -175,50 +303,85 @@ func (p *Proc) Now() time.Duration { return p.sim.now }
 // process or kernel callback.
 func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
 	s.procSeq++
-	p := &Proc{sim: s, name: name, id: s.procSeq, resume: make(chan struct{})}
+	p := &Proc{sim: s, name: name, id: s.procSeq, fn: fn, resume: make(chan struct{}, 1)}
 	s.live++
-	s.schedule(s.now, func() {
-		go p.run(fn)
-		<-s.yield
-	})
+	p.wake()
 	return p
+}
+
+// switchTo hands control to p, whose wake was just popped. The caller must
+// give control up right after: park, or exit.
+func (p *Proc) switchTo() {
+	if fn := p.fn; fn != nil {
+		p.fn = nil
+		go p.run(fn)
+		return
+	}
+	p.resume <- struct{}{}
+}
+
+// handOver passes control on from a process that is about to park or exit:
+// to the process whose wake it popped, else (next == nil) to the driver.
+func (s *Sim) handOver(next *Proc) {
+	if next != nil {
+		next.switchTo()
+		return
+	}
+	s.driver <- struct{}{}
 }
 
 func (p *Proc) run(fn func(*Proc)) {
 	defer func() {
+		s := p.sim
 		if r := recover(); r != nil {
-			p.sim.panicVal = r
-			p.sim.panicLoc = p.name
+			s.panicVal = r
+			s.panicLoc = p.name
 		}
-		p.dead = true
-		p.sim.live--
-		p.sim.yield <- struct{}{}
+		s.live--
+		s.handOver(s.nextProc())
 	}()
 	fn(p)
 }
 
-// block suspends the process until something calls wake. It must only be
-// invoked by the process's own goroutine.
+// block suspends the process until its wake event is popped. It must only
+// be invoked by the process's own goroutine, with that wake already
+// scheduled or owed by a queue or resource p is linked on. The common case,
+// an uncontended Sleep, finds its own wake next and never leaves the
+// goroutine.
 func (p *Proc) block() {
-	p.sim.yield <- struct{}{}
+	s := p.sim
+	next := s.nextProc()
+	if next == p {
+		return
+	}
+	s.handOver(next)
 	<-p.resume
 }
 
 // wake schedules the process to resume at the current virtual time. It must
 // be called with the kernel or another process in control, never by p itself.
-func (p *Proc) wake() {
-	p.sim.schedule(p.sim.now, func() {
-		p.resume <- struct{}{}
-		<-p.sim.yield
-	})
+func (p *Proc) wake() { p.sim.schedule(p.sim.now, event{p: p}) }
+
+// deliver completes p's wait with (v, ok) and wakes it. A timeout still
+// armed for the wait becomes a no-op.
+func (p *Proc) deliver(v any, ok bool) {
+	p.val, p.ok = v, ok
+	p.timedQ = nil
+	p.wake()
 }
 
-// wakeAt schedules the process to resume at absolute time at.
-func (p *Proc) wakeAt(at time.Duration) {
-	p.sim.schedule(at, func() {
-		p.resume <- struct{}{}
-		<-p.sim.yield
-	})
+// expire is timed wait number gen running out. If p is still in that wait it
+// leaves the queue and wakes with timedOut set; otherwise a delivery got
+// there first and the event is stale.
+func (p *Proc) expire(gen uint32) {
+	q := p.timedQ
+	if q == nil || p.timer != gen {
+		return
+	}
+	p.timedQ = nil
+	p.timedOut = true
+	q.getters.remove(p)
+	p.wake()
 }
 
 // Sleep suspends the process for d of virtual time.
@@ -228,7 +391,7 @@ func (p *Proc) Sleep(d time.Duration) {
 		// in FIFO order.
 		d = 0
 	}
-	p.wakeAt(p.sim.now + d)
+	p.sim.schedule(p.sim.now+d, event{p: p})
 	p.block()
 }
 
