@@ -204,10 +204,29 @@ func (p *NativePool) Put(b *Buffer) {
 	b.idle = true
 	p.stats.Puts++
 	p.m.puts.Inc()
+	if Poison {
+		PoisonFill(b.Data)
+	}
 	if b.class < 0 {
 		return
 	}
 	p.free[b.class] = append(p.free[b.class], b)
+}
+
+// PoisonByte is what released memory reads as in a `poison` build.
+const PoisonByte = 0xDB
+
+// PoisonFill overwrites b with PoisonByte. Callers guard it with Poison. It
+// doubles a filled prefix: a store per byte is too slow under the race
+// detector for megabyte buffers.
+func PoisonFill(b []byte) {
+	if len(b) == 0 {
+		return
+	}
+	b[0] = PoisonByte
+	for n := 1; n < len(b); n *= 2 {
+		copy(b[n:], b[:n])
+	}
 }
 
 // StatsSnapshot returns a copy of the counters.

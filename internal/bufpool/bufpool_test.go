@@ -37,6 +37,25 @@ func TestGetPutReuse(t *testing.T) {
 	}
 }
 
+// TestPoisonFillsPutBuffer: in a `poison` build a buffer handed back reads
+// PoisonByte end to end, pooled or one-off. Skipped in normal builds.
+func TestPoisonFillsPutBuffer(t *testing.T) {
+	if !Poison {
+		t.Skip("not a poison build")
+	}
+	p := NewNativePool(1024)
+	for _, size := range []int{1000, 5000} {
+		b := p.Get(size)
+		data := b.Data
+		p.Put(b)
+		for i, c := range data {
+			if c != PoisonByte {
+				t.Fatalf("byte %d of a returned %d-byte buffer reads %#x", i, len(data), c)
+			}
+		}
+	}
+}
+
 func TestOversizeOneOff(t *testing.T) {
 	p := NewNativePool(1024)
 	b := p.Get(5000)

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"rpcoib/internal/bufpool"
 	"rpcoib/internal/exec"
 )
 
@@ -16,16 +17,29 @@ import (
 const maxFrame = 256 << 20
 
 // recvStep is the most memory a length prefix can commit before the bytes
-// behind it arrive. The prefix is unauthenticated: a frame up to recvStep
-// gets its one exact allocation up front, a larger one grows by recvStep as
-// its body is actually received, so a peer that announces maxFrame and sends
-// nothing costs the receiver one step, not the frame.
+// behind it arrive. The prefix is unauthenticated: a frame up to recvStep is
+// received into the connection's receive buffer, grown to fit it up front; a
+// larger one gets an allocation of its own that grows by recvStep as its body
+// is actually received, so a peer that announces maxFrame and sends nothing
+// costs the receiver one step, not the frame.
 const recvStep = 4 << 20
 
-// readBufSize is the per-connection receive buffer: a frame that fits (every
-// small call does) is read with whatever else has arrived, in one syscall,
-// and handed out as a view. It is the only memory a connection end retains.
+// readBufSize is the receive buffer a connection end starts with and comes
+// back to: a frame that fits (every small call does) is read with whatever
+// else has arrived, in one syscall, and handed out as a view. A larger frame
+// grows the buffer to that frame (readBuf.room); shrinkAfter says when it
+// gives the memory back. The buffer is the only memory a connection end
+// retains.
 const readBufSize = 8 << 10
+
+// shrinkAfter is the receive buffer's hysteresis: once this many frames in a
+// row each needed at most half of it, it is reallocated to the largest of
+// them. A constant and not a setting: it trades one reallocation per
+// shrinkAfter frames at worst against holding a burst's buffer for
+// shrinkAfter frames too long, and neither side of that is worth a knob. A
+// connection whose frames fit readBufSize again is back to it shrinkAfter
+// frames later.
+const shrinkAfter = 64
 
 // TCPNetwork is the real-mode transport: length-prefixed messages over
 // net.Conn. It ignores the exec.Env arguments (real blocking is real).
@@ -97,7 +111,7 @@ type tcpConn struct {
 }
 
 func newTCPConn(c net.Conn) *tcpConn {
-	return &tcpConn{c: c, remote: c.RemoteAddr().String(), rb: newReadBuf()}
+	return &tcpConn{c: c, remote: c.RemoteAddr().String(), rb: newReadBuf(readBufSize)}
 }
 
 // Send writes the prefix and data with one vectored write. A frame the peer
@@ -124,29 +138,92 @@ func (c *tcpConn) Send(_ exec.Env, data []byte) error {
 // readBuf is a connection's receive buffer: buf[r:w] holds bytes read but not
 // yet returned. lent is set while a view of buf is out with a caller and
 // cleared by release; a Recv that finds it still set leaves this buffer to
-// its holder and carries on in a new one.
+// its holder and carries on in a new one (fork). quiet counts the frames in a
+// row that needed at most half of buf, peak is the largest of them.
 type readBuf struct {
-	buf     []byte
-	r, w    int
-	lent    atomic.Bool
-	release func()
+	buf         []byte
+	r, w        int
+	quiet, peak int
+	lent        atomic.Bool
+	release     func()
+	view        []byte // the lent view, kept in poison builds only
 }
 
-func newReadBuf() *readBuf {
-	b := &readBuf{buf: make([]byte, readBufSize)}
-	b.release = func() { b.lent.Store(false) }
+func newReadBuf(size int) *readBuf {
+	b := &readBuf{buf: make([]byte, size)}
+	b.release = func() {
+		if bufpool.Poison {
+			bufpool.PoisonFill(b.view)
+		}
+		b.lent.Store(false)
+	}
 	return b
 }
 
+// pageRound rounds a buffer size up to whole pages.
+func pageRound(n int) int { return (n + 4095) &^ 4095 }
+
+// resize moves the unread bytes into a new buffer of size bytes. No view of
+// the old one is out: Recv forks a lent buffer before it gets here.
+func (b *readBuf) resize(size int) {
+	buf := make([]byte, size)
+	b.w = copy(buf, b.buf[b.r:b.w])
+	b.r, b.buf = 0, buf
+}
+
+// room sizes the buffer for a frame that needs need bytes of it. It grows at
+// once and to the frame, not by doubling: a rising sequence of sizes then
+// allocates per frame what every frame used to, and nothing is held that no
+// frame asked for. It shrinks on the connection's own history, after
+// shrinkAfter frames in a row that each fit half of it, to the largest of
+// them (and to what is already buffered), never below readBufSize.
+func (b *readBuf) room(need int) {
+	switch {
+	case need > len(b.buf):
+		b.resize(pageRound(need))
+	case 2*need > len(b.buf):
+		// in use at this size
+	default:
+		b.peak = max(b.peak, need)
+		if b.quiet++; b.quiet < shrinkAfter {
+			return
+		}
+		if size := max(readBufSize, pageRound(max(b.peak, b.w-b.r))); 2*size <= len(b.buf) {
+			b.resize(size)
+		}
+	}
+	b.quiet, b.peak = 0, 0
+}
+
+// fork returns the buffer Recv carries on in while a view of b is still out:
+// it takes over the unread bytes and is sized for them and for the frame they
+// start with, which may be far more than readBufSize once b has grown.
+func (b *readBuf) fork() *readBuf {
+	tail := b.buf[b.r:b.w]
+	size := len(tail)
+	if len(tail) >= 4 {
+		if n := binary.BigEndian.Uint32(tail); n <= recvStep {
+			size = max(size, 4+int(n))
+		}
+	}
+	fresh := newReadBuf(max(readBufSize, pageRound(size)))
+	fresh.w = copy(fresh.buf, tail)
+	return fresh
+}
+
 // fill reads until at least need unread bytes are buffered, moving them to
-// the front first when the tail has no room for the rest.
+// the front first when the tail has no room for the rest. A read takes in no
+// more than readBufSize from where the frame starts, or the frame: in a grown
+// buffer, what it took past that would be the head of the next large frame,
+// to be moved to the front before the rest of that frame could follow.
 func (b *readBuf) fill(c net.Conn, need int) error {
 	if b.r+need > len(b.buf) {
 		b.w = copy(b.buf, b.buf[b.r:b.w])
 		b.r = 0
 	}
+	end := min(len(b.buf), b.r+max(need, readBufSize))
 	for b.w-b.r < need {
-		n, err := c.Read(b.buf[b.w:])
+		n, err := c.Read(b.buf[b.w:end])
 		b.w += n
 		if err != nil && b.w-b.r < need {
 			if err == io.EOF && b.w > b.r {
@@ -158,14 +235,14 @@ func (b *readBuf) fill(c net.Conn, need int) error {
 	return nil
 }
 
-// Recv returns the next frame. One that fits the receive buffer is a view of
-// it, valid until release is called; a larger one gets its own allocation.
+// Recv returns the next frame. One of up to recvStep bytes is a view of the
+// connection's receive buffer, valid until release is called; a larger one
+// gets an allocation of its own, which the connection does not keep.
 func (c *tcpConn) Recv(exec.Env) ([]byte, func(), error) {
 	b := c.rb
 	if b.lent.Load() {
-		fresh := newReadBuf()
-		fresh.w = copy(fresh.buf, b.buf[b.r:b.w])
-		b, c.rb = fresh, fresh
+		b = b.fork()
+		c.rb = b
 	}
 	if b.r == b.w {
 		b.r, b.w = 0, 0
@@ -178,18 +255,26 @@ func (c *tcpConn) Recv(exec.Env) ([]byte, func(), error) {
 		return nil, nil, fmt.Errorf("transport: frame of %d bytes exceeds limit", n)
 	}
 	size := int(n)
-	if 4+size <= len(b.buf) {
-		if err := b.fill(c.c, 4+size); err != nil {
+	if size <= recvStep {
+		need := 4 + size
+		if need > len(b.buf) || len(b.buf) > readBufSize {
+			b.room(need) // a buffer that never left readBufSize has no history to keep
+		}
+		// An error here leaves the buffer unlent: nothing of it was handed out.
+		if err := b.fill(c.c, need); err != nil {
 			return nil, nil, err
 		}
-		data := b.buf[b.r+4 : b.r+4+size : b.r+4+size]
-		b.r += 4 + size
+		data := b.buf[b.r+4 : b.r+need : b.r+need]
+		b.r += need
+		if bufpool.Poison {
+			b.view = data
+		}
 		b.lent.Store(true)
 		return data, b.release, nil
 	}
 	b.r += 4
-	data := make([]byte, min(size, recvStep))
-	have := copy(data, b.buf[b.r:b.w])
+	data := make([]byte, recvStep)
+	have := copy(data, b.buf[b.r:b.w]) // fill's bound keeps this under readBufSize
 	b.r += have
 	for {
 		if _, err := io.ReadFull(c.c, data[have:]); err != nil {

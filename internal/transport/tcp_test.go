@@ -85,8 +85,8 @@ func TestTCPEmptyAndLargeMessages(t *testing.T) {
 	}
 	defer conn.Close()
 	big := bytes.Repeat([]byte{0x5a}, 1<<20)
-	// Past recvStep the receive buffer grows as the body arrives; a length
-	// that is not a multiple of the step exercises the short last step.
+	// Past recvStep a frame's own allocation grows as the body arrives; a
+	// length that is not a multiple of the step exercises the short last step.
 	stepped := bytes.Repeat([]byte{0xa5}, 2*recvStep+3)
 	for _, msg := range [][]byte{{}, big, stepped} {
 		if err := conn.Send(env, msg); err != nil {
@@ -344,61 +344,21 @@ func TestTCPSendFailureClosesConn(t *testing.T) {
 // TestTCPRecvReusesBufferAfterRelease drives the receive buffer from a raw
 // peer: frames that arrive together, a prefix split across reads, a frame
 // that wraps the buffer's end, a view held across the next Recv, and a frame
-// too large for the buffer between small ones.
+// that outgrows the buffer between small ones.
 func TestTCPRecvReusesBufferAfterRelease(t *testing.T) {
-	env := exec.NewRealEnv(1)
-	nw := NewTCPNetwork("")
-	ln, err := nw.Listen(env, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	peer, err := net.Dial("tcp", ln.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer peer.Close()
-	conn, err := ln.Accept(env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-
-	frame := func(fill byte, n int) []byte {
-		f := make([]byte, 4+n)
-		f[0], f[1], f[2], f[3] = byte(n>>24), byte(n>>16), byte(n>>8), byte(n)
-		for i := range f[4:] {
-			f[4+i] = fill + byte(i)
-		}
-		return f
-	}
-	check := func(data []byte, fill byte, n int) {
-		t.Helper()
-		if !bytes.Equal(data, frame(fill, n)[4:]) {
-			t.Fatalf("frame %d (%d bytes) arrived damaged (%d bytes)", fill, n, len(data))
-		}
-	}
-	recv := func(fill byte, n int) ([]byte, func()) {
-		t.Helper()
-		data, release, err := conn.Recv(env)
-		if err != nil {
-			t.Fatalf("Recv of frame %d: %v", fill, err)
-		}
-		check(data, fill, n)
-		return data, release
-	}
+	conn, peer := tcpPair(t)
 
 	// Three frames in one segment, the third's prefix cut in two.
-	third := frame(3, 700)
-	peer.Write(append(append(frame(1, 10), frame(2, 0)...), third[:2]...))
-	_, release := recv(1, 10)
+	third := testFrame(3, 700)
+	peer.Write(append(append(testFrame(1, 10), testFrame(2, 0)...), third[:2]...))
+	_, release := recvFrame(t, conn, 1, 10)
 	release()
-	_, release = recv(2, 0)
+	_, release = recvFrame(t, conn, 2, 0)
 	release()
 	got := make(chan struct{})
 	go func() {
 		defer close(got)
-		_, release := recv(3, 700)
+		_, release := recvFrame(t, conn, 3, 700)
 		release()
 	}()
 	peer.Write(third[2:])
@@ -407,31 +367,35 @@ func TestTCPRecvReusesBufferAfterRelease(t *testing.T) {
 	// Enough frames to take the read offset round the buffer several times.
 	go func() {
 		for i := 0; i < 40; i++ {
-			peer.Write(frame(byte(i), 1000+i))
+			peer.Write(testFrame(i, 1000+i))
 		}
 	}()
 	for i := 0; i < 40; i++ {
-		_, release := recv(byte(i), 1000+i)
+		_, release := recvFrame(t, conn, i, 1000+i)
 		release()
 	}
 
 	// A view that is not released stays intact while later frames arrive.
-	peer.Write(append(frame(50, 3000), frame(51, 3000)...))
-	held, releaseHeld := recv(50, 3000)
-	_, release = recv(51, 3000)
+	peer.Write(append(testFrame(50, 3000), testFrame(51, 3000)...))
+	held, releaseHeld := recvFrame(t, conn, 50, 3000)
+	_, release = recvFrame(t, conn, 51, 3000)
 	release()
-	peer.Write(frame(52, 6000))
-	_, release = recv(52, 6000)
+	peer.Write(testFrame(52, 6000))
+	_, release = recvFrame(t, conn, 52, 6000)
 	release()
-	check(held, 50, 3000)
+	if !bytes.Equal(held, testBody(50, 3000)) {
+		t.Fatal("the held view changed while later frames arrived")
+	}
 	releaseHeld()
 
-	// A frame larger than the buffer gets its own allocation; the small
-	// frame sent right behind it is not lost.
-	peer.Write(append(frame(60, 3*readBufSize), frame(61, 5)...))
-	big, release := recv(60, 3*readBufSize)
-	_, releaseSmall := recv(61, 5)
-	check(big, 60, 3*readBufSize)
+	// A frame larger than the buffer grows it; the small frame sent right
+	// behind it is not lost when the large view is still held.
+	peer.Write(append(testFrame(60, 3*readBufSize), testFrame(61, 5)...))
+	big, release := recvFrame(t, conn, 60, 3*readBufSize)
+	_, releaseSmall := recvFrame(t, conn, 61, 5)
+	if !bytes.Equal(big, testBody(60, 3*readBufSize)) {
+		t.Fatal("the held large view changed when the next frame was received")
+	}
 	release()
 	releaseSmall()
 }

@@ -26,8 +26,12 @@ type Conn interface {
 	Send(e exec.Env, data []byte) error
 	// Recv blocks for the next message. release must be called exactly once
 	// when data is no longer needed: zero-copy transports repost the
-	// underlying registered buffer, TCP reuses its receive buffer for the
-	// frames that follow. data is invalid after release.
+	// underlying registered buffer, TCP receives the frames that follow into
+	// the same per-connection buffer, whatever their size. data is invalid
+	// after release — the next frame overwrites it, and a `poison` build
+	// fills it with 0xDB at once — so copy out what must outlive it. A
+	// caller that calls Recv again before release keeps its view intact but
+	// costs the connection a new buffer.
 	Recv(e exec.Env) (data []byte, release func(), err error)
 	// Close tears the connection down; blocked Recvs fail.
 	Close()
