@@ -150,32 +150,47 @@ func TestShadowGrowPreservesData(t *testing.T) {
 	}
 }
 
+// TestShadowShrinkGradual pins ShrinkAfter's rule on one call kind: a burst
+// of small calls leaves the record alone for ShrinkAfter-1 calls, a call over
+// half of it restarts the count, and the ShrinkAfter-th small call in a row
+// lowers it to the largest of the run, then to MinClassSize, never below.
 func TestShadowShrinkGradual(t *testing.T) {
 	s := NewShadowPool(NewNativePool(0), PolicyHistory)
 	key := "k"
-	b := s.Acquire(key)
-	for b.Cap() < 8192 {
-		b = s.Grow(b, 0)
-	}
-	s.Release(key, b, 8192)
-	// A burst of small calls should halve the record step by step, not
-	// collapse it instantly (stability under jitter).
-	sizes := []int{}
-	for i := 0; i < 4; i++ {
-		b = s.Acquire(key)
-		sizes = append(sizes, s.HistorySize(key))
-		s.Release(key, b, 100)
-	}
-	if s.HistorySize(key) >= 8192 {
-		t.Fatalf("history did not shrink: %d", s.HistorySize(key))
-	}
-	for i := 1; i < len(sizes); i++ {
-		if sizes[i] > sizes[i-1] {
-			t.Fatalf("history grew during shrink: %v", sizes)
+	call := func(size, times int) {
+		for i := 0; i < times; i++ {
+			b := s.Acquire(key)
+			for b.Cap() < size {
+				b = s.Grow(b, 0)
+			}
+			s.Release(key, b, size)
 		}
 	}
-	if got := s.StatsSnapshot().Shrinks; got < 3 {
-		t.Fatalf("shrinks=%d", got)
+	call(8192, 1)
+	call(300, ShrinkAfter-1)
+	if got := s.HistorySize(key); got != 8192 {
+		t.Fatalf("after %d small calls the record is %d, want 8192 until the %dth", ShrinkAfter-1, got, ShrinkAfter)
+	}
+	call(5000, 1) // over half: in use at this size
+	call(100, ShrinkAfter-2)
+	call(300, 1)
+	if got := s.HistorySize(key); got != 8192 {
+		t.Fatalf("the record shrank to %d with a 5000-byte call %d calls back", got, ShrinkAfter-1)
+	}
+	call(100, 1)
+	if got := s.HistorySize(key); got != 300 {
+		t.Fatalf("after %d calls of at most 300 bytes the record is %d, want 300", ShrinkAfter, got)
+	}
+	call(100, ShrinkAfter)
+	if got := s.HistorySize(key); got != MinClassSize {
+		t.Fatalf("after %d calls of 100 bytes the record is %d, want MinClassSize", ShrinkAfter, got)
+	}
+	call(40, 2*ShrinkAfter)
+	if got := s.HistorySize(key); got != MinClassSize {
+		t.Fatalf("the record went below MinClassSize: %d", got)
+	}
+	if st := s.StatsSnapshot(); st.Shrinks != 2 || st.Grows != 0 {
+		t.Fatalf("shrinks=%d grows=%d, want 2 and 0", st.Shrinks, st.Grows)
 	}
 }
 

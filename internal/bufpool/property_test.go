@@ -179,22 +179,35 @@ func TestPropertyNativePoolRandomOps(t *testing.T) {
 	}
 }
 
-// shadowRecord is the reference implementation of the history update rule
-// (raise to actual on growth; halve on persistent undershoot, floored at the
-// minimum class).
-func shadowRecord(rec int, seen bool, actual int) int {
-	switch {
-	case !seen || actual > rec:
-		return actual
-	case actual <= rec/2 && rec/2 >= MinClassSize:
-		return rec / 2
+// shadowModel is the reference implementation of the history rule
+// (ShrinkAfter): raise to actual on growth; after ShrinkAfter calls in a row
+// of at most half the record, lower it to the largest of them, floored at the
+// minimum class; any other call restarts the run.
+type shadowModel struct {
+	rec, run, largest int
+	seen              bool
+}
+
+func (m *shadowModel) note(actual int) {
+	if !m.seen || actual > m.rec {
+		*m = shadowModel{rec: actual, seen: true}
+		return
 	}
-	return rec
+	if 2*actual > m.rec || m.rec <= MinClassSize {
+		m.run, m.largest = 0, 0
+		return
+	}
+	m.largest = max(m.largest, actual)
+	if m.run++; m.run == ShrinkAfter {
+		*m = shadowModel{rec: max(m.largest, MinClassSize), seen: true}
+	}
 }
 
 // TestPropertyShadowHistoryTracksLastSize drives random acquire/grow/release
 // sequences per key and checks the recorded history against the reference
-// rule after every release, plus the native balance at the end.
+// rule after every release, plus the native balance at the end. Each key
+// jitters around a level that moves now and then by up to a factor of 2^13,
+// so growth, runs that a larger call breaks, and shrinks all occur.
 func TestPropertyShadowHistoryTracksLastSize(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		seed := seed
@@ -203,35 +216,41 @@ func TestPropertyShadowHistoryTracksLastSize(t *testing.T) {
 			native := NewNativePool(1 << 20)
 			sp := NewShadowPool(native, PolicyHistory)
 			keys := []string{"proto.A+ping", "proto.A+submit", "proto.B+heartbeat"}
-			model := map[string]int{}
+			model := map[string]*shadowModel{}
+			level := map[string]int{}
+			for _, k := range keys {
+				model[k] = &shadowModel{}
+			}
 
-			for step := 0; step < 3000; step++ {
+			for step := 0; step < 6000; step++ {
 				key := keys[rng.Intn(len(keys))]
 				b := sp.Acquire(key)
 				// Acquire must honor history: a recorded size fits in the
 				// handed buffer's class (unseen keys get the minimum class).
 				want := MinClassSize
-				if rec, ok := model[key]; ok {
-					want = rec
+				if m := model[key]; m.seen {
+					want = m.rec
 				}
 				if b.Registered() && b.Cap() < native.ClassSize(want) && want <= 1<<20 {
 					t.Fatalf("step %d: %s acquired cap %d below history class %d",
 						step, key, b.Cap(), native.ClassSize(want))
 				}
 				// Serialize a random payload, growing as the writer would.
-				actual := 1 << (3 + rng.Intn(14)) // 8 .. 64K
-				if rng.Intn(3) == 0 {
-					actual += rng.Intn(actual)
+				if level[key] == 0 || rng.Intn(100) == 0 {
+					level[key] = 1 << (3 + rng.Intn(14)) // 8 .. 64K
+				}
+				actual := level[key]/2 + rng.Intn(level[key])
+				if rng.Intn(50) == 0 {
+					actual *= 3
 				}
 				for b.Cap() < actual {
 					b = sp.Grow(b, b.Cap())
 				}
-				_, seen := model[key]
-				model[key] = shadowRecord(model[key], seen, actual)
+				model[key].note(actual)
 				sp.Release(key, b, actual)
-				if got := sp.HistorySize(key); got != model[key] {
+				if got := sp.HistorySize(key); got != model[key].rec {
 					t.Fatalf("step %d: %s history %d, model %d (actual %d)",
-						step, key, got, model[key], actual)
+						step, key, got, model[key].rec, actual)
 				}
 			}
 			if n := native.Outstanding(); n != 0 {
@@ -242,6 +261,9 @@ func TestPropertyShadowHistoryTracksLastSize(t *testing.T) {
 			}
 			if sp.Keys() != len(keys) {
 				t.Fatalf("tracked %d keys, used %d", sp.Keys(), len(keys))
+			}
+			if st := sp.StatsSnapshot(); st.Shrinks == 0 || st.Grows == 0 {
+				t.Fatalf("the sequence never exercised the rule: shrinks=%d grows=%d", st.Shrinks, st.Grows)
 			}
 		})
 	}

@@ -39,6 +39,18 @@ func (p Policy) String() string {
 // FixedLargeSize is the buffer size PolicyFixedLarge hands out.
 const FixedLargeSize = 64 * 1024
 
+// ShrinkAfter is the hysteresis of every size record that decides how much
+// memory a use is handed: a call kind's history here, a TCP connection's
+// receive buffer in transport. A record grows at once to a use that does not
+// fit it; it shrinks only after ShrinkAfter uses in a row that each needed at
+// most half of it, to the largest of them; a use over half restarts the
+// count. A constant and not a setting: it trades one re-size per ShrinkAfter
+// uses at worst against holding a burst's size ShrinkAfter uses too long, and
+// neither side of that is worth a knob. A kind whose sizes vary within a
+// factor of two keeps one size, and one whose sizes vary more keeps its
+// largest, so its buffers come from one class whose depth is discovered once.
+const ShrinkAfter = 64
+
 // ShadowStats counts shadow-pool behaviour. FirstFit is the success metric:
 // calls whose first buffer was already big enough thanks to history.
 type ShadowStats struct {
@@ -57,14 +69,19 @@ type ShadowPool struct {
 	mu      sync.Mutex
 	native  *NativePool
 	policy  Policy
-	history map[string]int
+	history map[string]sizeRecord
 	stats   ShadowStats
 	m       shadowInstruments
 }
 
+// sizeRecord is one call kind's history: size is what Acquire asks the native
+// pool for; quiet counts the calls in a row that needed at most half of it,
+// peak is the largest of them (ShrinkAfter).
+type sizeRecord struct{ size, quiet, peak int }
+
 // NewShadowPool layers history tracking over a native pool.
 func NewShadowPool(native *NativePool, policy Policy) *ShadowPool {
-	return &ShadowPool{native: native, policy: policy, history: map[string]int{}}
+	return &ShadowPool{native: native, policy: policy, history: map[string]sizeRecord{}}
 }
 
 // Native returns the underlying native pool.
@@ -81,7 +98,7 @@ func (s *ShadowPool) Acquire(key string) *Buffer {
 	switch s.policy {
 	case PolicyHistory:
 		if rec, ok := s.history[key]; ok {
-			size = rec
+			size = rec.size
 		} else {
 			s.stats.NewKeys++
 			s.m.newKeys.Inc()
@@ -119,13 +136,8 @@ func (s *ShadowPool) Grow(b *Buffer, n int) *Buffer {
 }
 
 // Release returns b and records that the call of kind key actually used
-// actualSize bytes. History update rule:
-//
-//   - actualSize above the record: raise the record to actualSize.
-//   - actualSize at or below half the record: halve the record (gradual
-//     shrink, the paper's "shrink the history record of size"), so jitter
-//     within [rec/2, rec] keeps a stable class while a genuine downshift
-//     converges in a few calls without footprint blowup.
+// actualSize bytes. The record follows ShrinkAfter's rule, never shrinking
+// below MinClassSize (the paper's "shrink the history record of size").
 func (s *ShadowPool) Release(key string, b *Buffer, actualSize int) {
 	s.mu.Lock()
 	if b != nil && !b.grown {
@@ -135,17 +147,23 @@ func (s *ShadowPool) Release(key string, b *Buffer, actualSize int) {
 	if s.policy == PolicyHistory {
 		rec, ok := s.history[key]
 		switch {
-		case !ok || actualSize > rec:
+		case !ok || actualSize > rec.size:
 			if ok {
 				s.stats.Grows++
 				s.m.grows.Inc()
 			}
-			s.history[key] = actualSize
-		case actualSize <= rec/2 && rec/2 >= MinClassSize:
-			s.stats.Shrinks++
-			s.m.shrinks.Inc()
-			s.history[key] = rec / 2
+			rec = sizeRecord{size: actualSize}
+		case 2*actualSize > rec.size || rec.size <= MinClassSize:
+			rec.quiet, rec.peak = 0, 0 // in use at this size
+		default:
+			rec.peak = max(rec.peak, actualSize)
+			if rec.quiet++; rec.quiet >= ShrinkAfter {
+				s.stats.Shrinks++
+				s.m.shrinks.Inc()
+				rec = sizeRecord{size: max(rec.peak, MinClassSize)}
+			}
 		}
+		s.history[key] = rec
 		s.m.keys.Set(int64(len(s.history)))
 	}
 	s.mu.Unlock()
@@ -158,7 +176,7 @@ func (s *ShadowPool) Release(key string, b *Buffer, actualSize int) {
 func (s *ShadowPool) HistorySize(key string) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.history[key]
+	return s.history[key].size
 }
 
 // Keys returns the number of tracked call kinds.

@@ -532,12 +532,13 @@ func (c *Client) sendRPCoIB(e exec.Env, conn *Connection, id int32, deadline tim
 	var err error
 	if ps, ok := conn.tc.(transport.PooledSender); ok {
 		err = ps.SendPooled(e, buf, n)
+		s.Release()
 	} else {
-		// Plain sockets: Send borrows the registered buffer for the write,
-		// so it goes down as it is and is released once Send returns.
-		err = conn.tc.Send(e, buf.Data[:n])
+		// Plain sockets write the registered buffer as it is; TCP hands it
+		// back before the frame's last bytes, so it is in the pool before the
+		// reply can arrive.
+		err = transport.SendReleasing(e, conn.tc, buf.Data[:n], s)
 	}
-	s.Release()
 	return sent{serialize: serialize, send: e.Now() - t1, bytes: n, adjustments: int64(s.Regets())}, err
 }
 

@@ -2,6 +2,8 @@ package core
 
 import (
 	"encoding/binary"
+	"math"
+	"math/rand"
 	"net"
 	"runtime"
 	"sort"
@@ -10,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"rpcoib/internal/bufpool"
 	"rpcoib/internal/exec"
 	"rpcoib/internal/transport"
 	"rpcoib/internal/wire"
@@ -90,6 +93,80 @@ func TestRealLargeCallAllocBudget(t *testing.T) {
 	if len(reply.Value) != largeBody || size.Value != largeBody {
 		t.Fatalf("get returned %d bytes, put reported %d, want %d", len(reply.Value), size.Value, largeBody)
 	}
+}
+
+// getLadder is the benchmark's real_large_get cycle: 64 reply sizes,
+// log-uniform from 64 KB to 1 MB.
+func getLadder() []int64 {
+	sizes := make([]int64, 64)
+	for i := range sizes {
+		sizes[i] = int64(math.Round(64 << 10 * math.Pow(16, float64(i)/63)))
+	}
+	return sizes
+}
+
+// TestRealLargeGetPoolSettles: two callers run the get ladder, shuffled, over
+// real TCP. After 256 warm-up calls the server's registered pool is settled:
+// 2000 more calls take every reply buffer from it, registering nothing. The
+// history keeps one class for the kind (the ladder spans more than a factor
+// of two, so it keeps the largest), and a reply's buffer is back in the pool
+// before its caller can issue the next call, so two callers never need more
+// than the two buffers warm-up registered.
+func TestRealLargeGetPoolSettles(t *testing.T) {
+	env := exec.NewRealEnv(1)
+	block := make([]byte, 1<<20)
+	spool := bufpool.NewShadowPool(bufpool.NewNativePool(0), bufpool.PolicyHistory)
+	srv := NewServer(transport.NewTCPNetwork(""), Options{Mode: ModeRPCoIB, Pool: spool})
+	srv.Register("test.Large", "get",
+		func() wire.Writable { return &wire.LongWritable{} },
+		func(e exec.Env, param wire.Writable) (wire.Writable, error) {
+			return &wire.BytesWritable{Value: block[:param.(*wire.LongWritable).Value]}, nil
+		})
+	if err := srv.Start(env, 0); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Stop()
+	client := NewClient(transport.NewTCPNetwork(""), Options{Mode: ModeRPCoIB})
+	defer client.Close()
+
+	const callers = 2
+	run := func(calls int) {
+		var wg sync.WaitGroup
+		for g := 0; g < callers; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				cenv := exec.NewRealEnv(int64(g) + 2)
+				rng := rand.New(rand.NewSource(int64(g) + 1))
+				ladder := getLadder()
+				var reply wire.BytesWritable
+				for i := 0; i < calls; i++ {
+					if i%len(ladder) == 0 {
+						rng.Shuffle(len(ladder), func(a, b int) { ladder[a], ladder[b] = ladder[b], ladder[a] })
+					}
+					size := &wire.LongWritable{Value: ladder[i%len(ladder)]}
+					if err := client.Call(cenv, srv.Addr(), "test.Large", "get", size, &reply); err != nil {
+						t.Error(err)
+						return
+					}
+					if int64(len(reply.Value)) != size.Value {
+						t.Errorf("asked for %d bytes, got %d", size.Value, len(reply.Value))
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	run(256 / callers)
+	warm := spool.Native().StatsSnapshot()
+	run(2000 / callers)
+	after := spool.Native().StatsSnapshot()
+	if misses := after.Misses - warm.Misses; misses != 0 || after.PeakRegistered != warm.PeakRegistered {
+		t.Errorf("after warm-up the server pool missed %d times and its peak went %d -> %d bytes",
+			misses, warm.PeakRegistered, after.PeakRegistered)
+	}
+	t.Logf("server pool: %d bytes registered at peak, %d misses in warm-up", after.PeakRegistered, warm.Misses)
 }
 
 // settleGoroutines waits for the goroutine count to come back to base: every

@@ -561,10 +561,10 @@ func (s *Server) respond(e exec.Env, r *serverCall) {
 		s.lastReap = e.Now()
 		if ps, ok := r.conn.(transport.PooledSender); ok {
 			_ = ps.SendPooled(e, buf, n)
+			r.stream.Release()
 		} else {
-			_ = r.conn.Send(e, buf.Data[:n]) // borrowed for the write
+			_ = transport.SendReleasing(e, r.conn, buf.Data[:n], &r.stream)
 		}
-		r.stream.Release()
 	} else {
 		n = len(r.data)
 		frame := make([]byte, 4+n)

@@ -27,19 +27,16 @@ const recvStep = 4 << 20
 // readBufSize is the receive buffer a connection end starts with and comes
 // back to: a frame that fits (every small call does) is read with whatever
 // else has arrived, in one syscall, and handed out as a view. A larger frame
-// grows the buffer to that frame (readBuf.room); shrinkAfter says when it
-// gives the memory back. The buffer is the only memory a connection end
-// retains.
+// grows the buffer to that frame (readBuf.room); bufpool.ShrinkAfter says
+// when it gives the memory back. The buffer is the only memory a connection
+// end retains. It is also where SendReleasing starts to split a frame.
 const readBufSize = 8 << 10
 
-// shrinkAfter is the receive buffer's hysteresis: once this many frames in a
-// row each needed at most half of it, it is reallocated to the largest of
-// them. A constant and not a setting: it trades one reallocation per
-// shrinkAfter frames at worst against holding a burst's buffer for
-// shrinkAfter frames too long, and neither side of that is worth a knob. A
-// connection whose frames fit readBufSize again is back to it shrinkAfter
-// frames later.
-const shrinkAfter = 64
+// sendTail is how many of a large pooled frame's last bytes SendReleasing
+// writes from the connection's own array, after the pooled buffer is back in
+// its pool. Any length above zero keeps the frame's end behind the release;
+// a few bytes keep the copy free.
+const sendTail = 64
 
 // TCPNetwork is the real-mode transport: length-prefixed messages over
 // net.Conn. It ignores the exec.Env arguments (real blocking is real).
@@ -102,10 +99,11 @@ type tcpConn struct {
 	c      net.Conn
 	remote string
 
-	wmu  sync.Mutex
-	whdr [4]byte
-	wvec [2][]byte   // prefix and body, the backing array of wbuf
-	wbuf net.Buffers // consumed by each write; re-pointed at wvec
+	wmu   sync.Mutex
+	whdr  [4]byte
+	wvec  [2][]byte   // prefix and body, the backing array of wbuf
+	wbuf  net.Buffers // consumed by each write; re-pointed at wvec
+	wtail [sendTail]byte
 
 	rb *readBuf
 }
@@ -115,20 +113,59 @@ func newTCPConn(c net.Conn) *tcpConn {
 }
 
 // Send writes the prefix and data with one vectored write. A frame the peer
-// would refuse is refused here, before a byte of it is written; a write that
-// fails part-way closes the connection, so no later frame can follow half of
-// this one.
+// would refuse is refused here, before a byte of it is written.
 func (c *tcpConn) Send(_ exec.Env, data []byte) error {
 	if len(data) > maxFrame {
 		return fmt.Errorf("transport: frame of %d bytes exceeds limit", len(data))
 	}
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	binary.BigEndian.PutUint32(c.whdr[:], uint32(len(data)))
-	c.wvec[0], c.wvec[1] = c.whdr[:], data
+	return c.writev(len(data), data)
+}
+
+// SendReleasing sends data, which lies in a pooled buffer, and releases that
+// buffer before the peer can hold the whole frame. A frame that fits
+// readBufSize goes out in one vectored write, released after it. A larger one
+// is written from the pooled buffer up to its last sendTail bytes; those are
+// copied to the connection's own array, r is released, and then they are
+// written. The peer cannot read the frame's last byte, and so cannot answer
+// it or issue its next call, before the buffer is back in the pool: a
+// writer the scheduler parks after a long write no longer holds a registered
+// buffer that the next call needs.
+func (c *tcpConn) SendReleasing(_ exec.Env, data []byte, r Releaser) error {
+	if len(data) > maxFrame {
+		r.Release()
+		return fmt.Errorf("transport: frame of %d bytes exceeds limit", len(data))
+	}
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	if 4+len(data) <= readBufSize {
+		err := c.writev(len(data), data)
+		r.Release()
+		return err
+	}
+	cut := len(data) - sendTail
+	err := c.writev(len(data), data[:cut])
+	copy(c.wtail[:], data[cut:])
+	r.Release()
+	if err != nil {
+		return err
+	}
+	if _, err = c.c.Write(c.wtail[:]); err != nil {
+		c.c.Close()
+	}
+	return err
+}
+
+// writev writes the prefix of a frame of n bytes and body, the frame or its
+// head, with one vectored write. A write that fails part-way closes the
+// connection, so no later frame can follow part of this one.
+func (c *tcpConn) writev(n int, body []byte) error {
+	binary.BigEndian.PutUint32(c.whdr[:], uint32(n))
+	c.wvec[0], c.wvec[1] = c.whdr[:], body
 	c.wbuf = c.wvec[:]
 	_, err := c.wbuf.WriteTo(c.c)
-	c.wvec[1] = nil // data was borrowed for the write only
+	c.wvec[1] = nil // body was borrowed for the write only
 	if err != nil {
 		c.c.Close()
 	}
@@ -174,9 +211,9 @@ func (b *readBuf) resize(size int) {
 // room sizes the buffer for a frame that needs need bytes of it. It grows at
 // once and to the frame, not by doubling: a rising sequence of sizes then
 // allocates per frame what every frame used to, and nothing is held that no
-// frame asked for. It shrinks on the connection's own history, after
-// shrinkAfter frames in a row that each fit half of it, to the largest of
-// them (and to what is already buffered), never below readBufSize.
+// frame asked for. It shrinks by bufpool.ShrinkAfter's rule on the
+// connection's own history, to the largest frame of the run (and to what is
+// already buffered), never below readBufSize.
 func (b *readBuf) room(need int) {
 	switch {
 	case need > len(b.buf):
@@ -185,7 +222,7 @@ func (b *readBuf) room(need int) {
 		// in use at this size
 	default:
 		b.peak = max(b.peak, need)
-		if b.quiet++; b.quiet < shrinkAfter {
+		if b.quiet++; b.quiet < bufpool.ShrinkAfter {
 			return
 		}
 		if size := max(readBufSize, pageRound(max(b.peak, b.w-b.r))); 2*size <= len(b.buf) {

@@ -139,7 +139,7 @@ func TestTCPRecvLargeFramesAllocateNothing(t *testing.T) {
 // TestTCPRecvLadderReallocatesRarely: on the benchmark's large workloads —
 // shuffled cycles of 64 sizes, log-uniform from 64 KB to 1 MB — the buffer is
 // replaced when a frame exceeds every one before it and never shrinks, because
-// no shrinkAfter frames in a row stay under half of it.
+// no bufpool.ShrinkAfter frames in a row stay under half of it.
 func TestTCPRecvLadderReallocatesRarely(t *testing.T) {
 	conn, peer := tcpPair(t)
 	const lo, hi, cycle, frames = 64 << 10, 1 << 20, 64, 1000
@@ -178,7 +178,7 @@ func TestTCPRecvLadderReallocatesRarely(t *testing.T) {
 }
 
 // TestTCPRecvBufferShrinksBack: the buffer gives a large frame's memory back
-// shrinkAfter frames later — to the largest frame since when those still need
+// bufpool.ShrinkAfter frames later — to the largest frame since when those still need
 // more than readBufSize, to readBufSize when they do not — and a frame over
 // half of it in between restarts the count.
 func TestTCPRecvBufferShrinksBack(t *testing.T) {
@@ -200,30 +200,30 @@ func TestTCPRecvBufferShrinksBack(t *testing.T) {
 	if got := len(conn.rb.buf); got != pageRound(4+1<<20) {
 		t.Fatalf("after a 1 MB frame the buffer is %d bytes, want %d", got, pageRound(4+1<<20))
 	}
-	send(mid, shrinkAfter-1)
+	send(mid, bufpool.ShrinkAfter-1)
 	send(600<<10, 1) // over half: the buffer is in use at this size
-	send(mid, shrinkAfter-1)
+	send(mid, bufpool.ShrinkAfter-1)
 	if got := len(conn.rb.buf); got != pageRound(4+1<<20) {
-		t.Fatalf("the buffer shrank to %d bytes with a 600 KB frame %d frames back", got, shrinkAfter-1)
+		t.Fatalf("the buffer shrank to %d bytes with a 600 KB frame %d frames back", got, bufpool.ShrinkAfter-1)
 	}
 	send(mid, 1)
 	if got := len(conn.rb.buf); got != pageRound(4+mid) {
-		t.Fatalf("after %d frames of 100 KB the buffer is %d bytes, want %d", shrinkAfter, got, pageRound(4+mid))
+		t.Fatalf("after %d frames of 100 KB the buffer is %d bytes, want %d", bufpool.ShrinkAfter, got, pageRound(4+mid))
 	}
-	send(readBufSize-4, shrinkAfter) // the largest frame readBufSize holds
+	send(readBufSize-4, bufpool.ShrinkAfter) // the largest frame readBufSize holds
 	if got := len(conn.rb.buf); got != readBufSize {
-		t.Fatalf("after %d small frames the buffer is %d bytes, want readBufSize", shrinkAfter, got)
+		t.Fatalf("after %d small frames the buffer is %d bytes, want readBufSize", bufpool.ShrinkAfter, got)
 	}
 }
 
 // TestTCPRecvManyConnectionsRetainReadBufSize: 1000 accepted connections that
-// each saw one 1 MB frame and then shrinkAfter small ones hold readBufSize
+// each saw one 1 MB frame and then bufpool.ShrinkAfter small ones hold readBufSize
 // apiece, not a megabyte.
 func TestTCPRecvManyConnectionsRetainReadBufSize(t *testing.T) {
 	const conns = 1000
 	large, small := testFrame(1, 1<<20), testFrame(2, 64)
 	var stream []byte
-	for i := 0; i < shrinkAfter; i++ {
+	for i := 0; i < bufpool.ShrinkAfter; i++ {
 		stream = append(stream, small...)
 	}
 	held := make([]*tcpConn, 0, conns)
@@ -235,7 +235,7 @@ func TestTCPRecvManyConnectionsRetainReadBufSize(t *testing.T) {
 			peer.Write(large)
 			peer.Write(stream)
 		}()
-		for j := 0; j <= shrinkAfter; j++ {
+		for j := 0; j <= bufpool.ShrinkAfter; j++ {
 			_, release, err := conn.Recv(nil)
 			if err != nil {
 				t.Fatal(err)

@@ -47,6 +47,31 @@ type PooledSender interface {
 	SendPooled(e exec.Env, b *bufpool.Buffer, n int) error
 }
 
+// Releaser owns a pooled buffer a message is sent from: Release returns it to
+// its pool.
+type Releaser interface{ Release() }
+
+// ReleasingSender is implemented by transports that can give a pooled send
+// buffer back before the message has fully left (TCP): SendReleasing sends
+// data and calls r.Release exactly once, whatever the outcome, before the
+// peer can hold the whole message. Release runs while the connection's sends
+// are held back, so it must not send on that connection.
+type ReleasingSender interface {
+	SendReleasing(e exec.Env, data []byte, r Releaser) error
+}
+
+// SendReleasing sends data, which lies in a buffer r owns, and calls
+// r.Release exactly once: early where the conn supports it, once Send has
+// returned otherwise (a simulated socket takes its own copy).
+func SendReleasing(e exec.Env, c Conn, data []byte, r Releaser) error {
+	if rs, ok := c.(ReleasingSender); ok {
+		return rs.SendReleasing(e, data, r)
+	}
+	err := c.Send(e, data)
+	r.Release()
+	return err
+}
+
 // Listener accepts inbound connections.
 type Listener interface {
 	Accept(e exec.Env) (Conn, error)
