@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench-test bench-gate fmt-check figures lint lint-ssa lint-write-golden staticcheck govulncheck
+.PHONY: all build test race bench-test bench-gate fmt-check figures lint lint-write-golden staticcheck govulncheck
 
 all: build test lint
 
@@ -49,18 +49,13 @@ figures:
 	regen sort.txt ./cmd/sortbench; \
 	regen hbase.txt ./cmd/hbasebench -ops 64000
 
-# Static analysis (DESIGN.md S20/S25): the project's own analyzer suite —
-# determinism, metricnames, lockcall, statusexhaustive, atomicguard, plus the
-# two that ride the SSA-lite CFGs, regmem and goroutineleak. Fails on any
-# finding; fix the code or add a justified marker (//lint:wallclock,
-# //lint:atomicinit, //lint:goroutine).
+# Static analysis (DESIGN.md S20/S25): the project's own four analyzers —
+# determinism, metricnames, statusexhaustive, and regmem, which rides the
+# SSA-lite CFGs. Fails on any finding; fix the code or, for a legitimate
+# wall-clock read, add a justified //lint:wallclock marker. One analyzer
+# alone: go run ./cmd/rpcoiblint -only regmem ./...
 lint:
 	$(GO) run ./cmd/rpcoiblint ./...
-
-# Just the S25 analyzers — the slow half of the suite, isolated for iterating
-# on dataflow changes.
-lint-ssa:
-	$(GO) run ./cmd/rpcoiblint -only atomicguard,regmem,goroutineleak ./...
 
 # Regenerate internal/faultsim/testdata/metric_names.golden from the static
 # view after deliberately adding or removing a metric family.

@@ -40,7 +40,7 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 	// SSA is the package's SSA-lite view (per-function CFGs, the worklist
-	// solver, and static callee resolution), built once per package by the
+	// solver, and the function-object index), built once per package by the
 	// driver and shared by every analyzer. This is the one deliberate
 	// departure from the upstream x/tools API shape (which delivers the same
 	// facility through ctrlflow/buildssa dependency analyzers); porting an
@@ -53,9 +53,8 @@ type Pass struct {
 
 // Diagnostic is one finding at one source position.
 type Diagnostic struct {
-	Pos      token.Pos
-	Message  string
-	Category string // analyzer name; filled by the driver if empty
+	Pos     token.Pos
+	Message string
 }
 
 // Reportf reports a formatted diagnostic at pos.

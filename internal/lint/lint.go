@@ -9,22 +9,15 @@
 //	                 engine packages (replay invariant, S18)
 //	metricnames      metric families are package-level consts that match
 //	                 metric_names.golden both ways (S16 golden guard)
-//	lockcall         no blocking call while holding a sync mutex (the S18
-//	                 reconnect wedge, as a class)
 //	statusexhaustive status-code switches cover every status* constant
-//	atomicguard      a word accessed via sync/atomic anywhere is accessed
-//	                 atomically everywhere, module-wide (Facts + Merge)
 //	regmem           every bufpool acquisition and MemoryBudget reservation
 //	                 reaches exactly one Put/Release on every CFG path
 //	                 (ledger invariant Gets==Puts) and is never used
 //	                 afterwards
-//	goroutineleak    every spawned goroutine in an engine package has a
-//	                 reachable shutdown path
 //
-// The last two ride on the shared SSA-lite facility (internal/lint/ssalite):
-// per-function CFGs, a worklist dataflow solver, and static callee
-// resolution, built once per package and handed to every analyzer as
-// Pass.SSA. atomicguard is module-wide through Facts + Merge instead.
+// regmem rides on the SSA-lite facility (internal/lint/ssalite):
+// per-function CFGs and a worklist dataflow solver, built once per package
+// and handed to every analyzer as Pass.SSA.
 package lint
 
 import (
@@ -37,11 +30,8 @@ import (
 	"strings"
 
 	"rpcoib/internal/lint/analysis"
-	"rpcoib/internal/lint/atomicguard"
 	"rpcoib/internal/lint/determinism"
-	"rpcoib/internal/lint/goroutineleak"
 	"rpcoib/internal/lint/loader"
-	"rpcoib/internal/lint/lockcall"
 	"rpcoib/internal/lint/metricnames"
 	"rpcoib/internal/lint/regmem"
 	"rpcoib/internal/lint/ssalite"
@@ -52,17 +42,13 @@ import (
 var Analyzers = []*analysis.Analyzer{
 	determinism.Analyzer,
 	metricnames.Analyzer,
-	lockcall.Analyzer,
 	statusexhaustive.Analyzer,
-	atomicguard.Analyzer,
 	regmem.Analyzer,
-	goroutineleak.Analyzer,
 }
 
-// engineScope lists the package-path infixes the determinism and
-// goroutineleak analyzers patrol: the engine and substrate packages whose
-// behaviour must replay bit-identically under a seed and whose logical
-// processes must all be killable. internal/exec is included so that the
+// engineScope lists the package-path infixes the determinism analyzer
+// patrols: the engine and substrate packages whose behaviour must replay
+// bit-identically under a seed. internal/exec is included so that the
 // real-mode environment's legitimate wall-clock reads stay visibly
 // allowlisted with //lint:wallclock justifications.
 var engineScope = []string{
@@ -79,7 +65,7 @@ func InScope(a *analysis.Analyzer, pkgPath string) bool {
 	if strings.Contains(pkgPath, "internal/lint") {
 		return false
 	}
-	if a.Name != determinism.Analyzer.Name && a.Name != goroutineleak.Analyzer.Name {
+	if a.Name != determinism.Analyzer.Name {
 		return true
 	}
 	for _, infix := range engineScope {
@@ -122,10 +108,9 @@ func Run(patterns []string, opts Options) ([]Finding, error) {
 	}
 	var findings []Finding
 	var facts []*metricnames.Facts
-	var atomicFacts []*atomicguard.Facts
 	metricsRan := false
 	for _, pkg := range pkgs {
-		// One SSA-lite build (CFGs, callee index) per package, shared by
+		// One SSA-lite build (CFGs, function index) per package, shared by
 		// every analyzer in the suite.
 		ssa := ssalite.Build(pkg.Fset, pkg.Files, pkg.Types, pkg.Info)
 		for _, a := range Analyzers {
@@ -153,20 +138,6 @@ func Run(patterns []string, opts Options) ([]Finding, error) {
 					facts = append(facts, f)
 				}
 			}
-			if a.Name == atomicguard.Analyzer.Name {
-				if f, ok := res.(*atomicguard.Facts); ok {
-					atomicFacts = append(atomicFacts, f)
-				}
-			}
-		}
-	}
-
-	// Cross-package half of atomicguard: a word atomic in one package and
-	// plain in another only becomes visible once every package's facts are in.
-	if len(atomicFacts) > 0 {
-		fset := pkgs[0].Fset
-		for _, p := range atomicguard.Merge(atomicFacts) {
-			findings = append(findings, Finding{Pos: fset.Position(p.Pos), Analyzer: atomicguard.Analyzer.Name, Message: p.Message})
 		}
 	}
 

@@ -6,20 +6,16 @@ import (
 	"rpcoib/internal/lint"
 )
 
-// suite is the full analyzer roster TestSelfLint demands: the four AST
-// checks plus the three S25 analyzers. A missing name here means someone
-// unplugged an invariant from the gate.
-var suite = []string{
-	"determinism", "metricnames", "lockcall",
-	"statusexhaustive", "atomicguard", "regmem", "goroutineleak",
-}
+// suite is the full analyzer roster TestSelfLint demands. A missing name
+// here means someone unplugged an invariant from the gate.
+var suite = []string{"determinism", "metricnames", "statusexhaustive", "regmem"}
 
 // TestSelfLint runs the full suite over the module itself — the same
 // invocation as `make lint` / `go run ./cmd/rpcoiblint ./...` — and demands
-// zero findings under all seven analyzers. Every real violation must either
-// be fixed or carry a justified marker (//lint:wallclock, //lint:atomicinit,
-// //lint:goroutine), and metric_names.golden must match the statically
-// enumerable family set both ways.
+// zero findings under all four analyzers. Every real violation must either
+// be fixed or carry a justified //lint:wallclock marker, and
+// metric_names.golden must match the statically enumerable family set both
+// ways.
 func TestSelfLint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("self-lint shells out to go list -export over the whole module")

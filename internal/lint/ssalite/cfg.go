@@ -61,7 +61,6 @@ func (b *cfgBuilder) newBlock(what string) *Block {
 
 func (b *cfgBuilder) edge(from, to *Block, kind EdgeKind) {
 	from.Succs = append(from.Succs, Edge{To: to, Kind: kind})
-	to.Preds = append(to.Preds, from)
 }
 
 // add appends a node to the current block, starting a fresh block if the

@@ -1,7 +1,7 @@
 // Package ssalite is the lint suite's lightweight dataflow layer (DESIGN.md
 // S25): per-function control-flow graphs, a worklist dataflow solver, and
-// static callee resolution, all derived from the `go/ast` + `go/types`
-// information the loader already produces.
+// an index from function objects to their bodies, all derived from the
+// `go/ast` + `go/types` information the loader already produces.
 //
 // It is "SSA-lite" in the sense of golang.org/x/tools/go/cfg rather than
 // go/ssa: no value renaming or instruction lowering — blocks hold the
@@ -9,8 +9,8 @@
 // against source positions — but enough structure that an analyzer can be
 // flow-sensitive (facts per CFG edge rather than per syntax tree walk),
 // branch-sensitive (true/false edges out of conditions), and interprocedural
-// (callees resolved through go/types, per-function summaries iterated to
-// a fixpoint). The driver builds one Info per package and shares it with
+// (a callee resolved through go/types maps back to its Func, so an analyzer
+// can summarise it). The driver builds one Info per package and shares it with
 // every analyzer through analysis.Pass.SSA.
 //
 // The CFG dialect:
@@ -23,9 +23,8 @@
 //   - A block that ends in a two-way branch carries the controlling node in
 //     Ctrl (the condition expression, or the range/switch statement) and
 //     exactly one EdgeTrue and one EdgeFalse successor. `for {}` emits a
-//     single unconditional back edge — a loop with no exit is visible as a
-//     CFG region from which Exit is unreachable, which is precisely what
-//     the goroutineleak analyzer checks.
+//     single unconditional back edge, so a loop with no exit is a CFG
+//     region from which Exit is unreachable.
 //   - `return` and calls to the builtin panic edge to Exit (panic terminates
 //     the goroutine, so it is a legitimate way out of a poller loop).
 //     `select {}` and an empty-body for loop have no successors at all.
@@ -67,7 +66,6 @@ type Block struct {
 	Nodes []ast.Node
 	Ctrl  ast.Node // controlling node for True/False successors, if any
 	Succs []Edge
-	Preds []*Block
 	what  string // debug label ("entry", "if.then", "for.head", ...)
 }
 
@@ -79,27 +77,14 @@ type Func struct {
 	// Node is the *ast.FuncDecl or *ast.FuncLit.
 	Node ast.Node
 	// Obj is the declared function object; nil for literals.
-	Obj *types.Func
-	// Parent encloses a function literal; nil for declarations.
-	Parent *Func
-	Body   *ast.BlockStmt
+	Obj  *types.Func
+	Body *ast.BlockStmt
 
 	Entry  *Block
 	Exit   *Block
 	Blocks []*Block
 	// Defers lists the function's defer statements (not part of the CFG).
 	Defers []*ast.DeferStmt
-}
-
-// Name returns a human-readable identifier for diagnostics.
-func (f *Func) Name() string {
-	if f.Obj != nil {
-		return f.Obj.Name()
-	}
-	if f.Parent != nil {
-		return "func literal in " + f.Parent.Name()
-	}
-	return "func literal"
 }
 
 // Info is the SSA-lite view of one type-checked package: every function's
@@ -114,18 +99,14 @@ type Info struct {
 	// source order (literals after their enclosing declaration).
 	Funcs []*Func
 
-	funcOf map[ast.Node]*Func
-	byObj  map[*types.Func]*Func
-
-	neverReturns map[*Func]bool
+	byObj map[*types.Func]*Func
 }
 
 // Build constructs the SSA-lite view of one package.
 func Build(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info) *Info {
 	in := &Info{
 		Fset: fset, Pkg: pkg, TypesInfo: info,
-		funcOf: map[ast.Node]*Func{},
-		byObj:  map[*types.Func]*Func{},
+		byObj: map[*types.Func]*Func{},
 	}
 	for _, f := range files {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -146,13 +127,12 @@ func Build(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *typ
 				return false
 			}
 			if lit, ok := n.(*ast.FuncLit); ok {
-				in.addLit(lit, nil)
+				in.addFunc(&Func{Node: lit, Body: lit.Body})
 				return false
 			}
 			return true
 		})
 	}
-	in.buildNeverReturns()
 	return in
 }
 
@@ -160,122 +140,19 @@ func Build(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *typ
 // literals.
 func (in *Info) addFunc(fn *Func) {
 	in.Funcs = append(in.Funcs, fn)
-	in.funcOf[fn.Node] = fn
 	if fn.Obj != nil {
 		in.byObj[fn.Obj] = fn
 	}
 	buildCFG(fn)
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		if lit, ok := n.(*ast.FuncLit); ok {
-			in.addLit(lit, fn)
+			in.addFunc(&Func{Node: lit, Body: lit.Body})
 			return false
 		}
 		return true
 	})
 }
-
-func (in *Info) addLit(lit *ast.FuncLit, parent *Func) {
-	in.addFunc(&Func{Node: lit, Parent: parent, Body: lit.Body})
-}
-
-// FuncAt returns the Func for a *ast.FuncDecl or *ast.FuncLit node, or nil.
-func (in *Info) FuncAt(n ast.Node) *Func { return in.funcOf[n] }
 
 // FuncOf returns the Func whose body implements obj in this package, or nil
 // (external function, interface method, or bodyless declaration).
 func (in *Info) FuncOf(obj *types.Func) *Func { return in.byObj[obj] }
-
-// StaticCallee resolves call to a function or method object, or nil for
-// dynamic calls (function values, type conversions, builtins).
-func (in *Info) StaticCallee(call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		fn, _ := in.TypesInfo.Uses[fun].(*types.Func)
-		return fn
-	case *ast.SelectorExpr:
-		fn, _ := in.TypesInfo.Uses[fun.Sel].(*types.Func)
-		return fn
-	}
-	return nil
-}
-
-// NeverReturns reports whether control provably cannot leave fn: its Exit
-// block is unreachable from Entry even counting panics, treating calls to
-// package-local functions that themselves never return as terminating the
-// path. A dedicated poller loop with no shutdown path is NeverReturns; a
-// loop that can break, return, or panic is not. Computed to a fixpoint over
-// the package's functions at Build time.
-func (in *Info) NeverReturns(fn *Func) bool { return in.neverReturns[fn] }
-
-// buildNeverReturns iterates exit-reachability to a fixpoint: marking one
-// function no-return can cut the only exit path of its callers, so repeat
-// until stable.
-func (in *Info) buildNeverReturns() {
-	in.neverReturns = map[*Func]bool{}
-	for changed := true; changed; {
-		changed = false
-		for _, fn := range in.Funcs {
-			if in.neverReturns[fn] {
-				continue
-			}
-			if !in.exitReachable(fn) {
-				in.neverReturns[fn] = true
-				changed = true
-			}
-		}
-	}
-}
-
-// exitReachable reports whether fn.Exit is reachable from fn.Entry, cutting
-// paths at calls to functions currently known to never return.
-func (in *Info) exitReachable(fn *Func) bool {
-	seen := make([]bool, len(fn.Blocks))
-	var visit func(b *Block) bool
-	visit = func(b *Block) bool {
-		if seen[b.Index] {
-			return false
-		}
-		seen[b.Index] = true
-		if b == fn.Exit {
-			return true
-		}
-		for _, n := range b.Nodes {
-			if in.nodeNeverReturns(n) {
-				return false // control never passes this node
-			}
-		}
-		for _, e := range b.Succs {
-			if visit(e.To) {
-				return true
-			}
-		}
-		return false
-	}
-	return visit(fn.Entry)
-}
-
-// nodeNeverReturns reports whether executing n is guaranteed to enter a
-// never-returning callee (so nothing after n in its block runs). Calls
-// inside nested function literals don't count — defining a closure runs
-// nothing.
-func (in *Info) nodeNeverReturns(n ast.Node) bool {
-	found := false
-	ast.Inspect(n, func(m ast.Node) bool {
-		if found {
-			return false
-		}
-		if _, ok := m.(*ast.FuncLit); ok {
-			return false
-		}
-		if call, ok := m.(*ast.CallExpr); ok {
-			if callee := in.StaticCallee(call); callee != nil {
-				if cf := in.byObj[callee]; cf != nil && in.neverReturns[cf] {
-					found = true
-					return false
-				}
-			}
-		}
-		return true
-	})
-	return found
-}

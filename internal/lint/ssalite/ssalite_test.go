@@ -111,20 +111,42 @@ func switcher(x int) int {
 }
 `
 
-// TestNeverReturns exercises exit reachability: bare spin loops (directly and
-// through a package-local call) never return; select-on-done pollers,
-// bounded loops, panicking loops, ranges, labeled breaks, and switches all
-// can leave.
-func TestNeverReturns(t *testing.T) {
+// exitReachable reports whether a DFS from fn.Entry along CFG edges reaches
+// fn.Exit.
+func exitReachable(fn *Func) bool {
+	seen := make([]bool, len(fn.Blocks))
+	var visit func(b *Block) bool
+	visit = func(b *Block) bool {
+		if seen[b.Index] {
+			return false
+		}
+		seen[b.Index] = true
+		if b == fn.Exit {
+			return true
+		}
+		for _, e := range b.Succs {
+			if visit(e.To) {
+				return true
+			}
+		}
+		return false
+	}
+	return visit(fn.Entry)
+}
+
+// TestExitReachable pins the CFG shapes regmem's path analysis relies on: a
+// bare spin loop has no way out; select-on-done pollers, bounded loops,
+// panicking loops, ranges, labeled breaks, and switches all reach Exit.
+func TestExitReachable(t *testing.T) {
 	in := load(t, cfgSrc)
 	want := map[string]bool{
-		"spin": true, "spinCall": true,
-		"poller": false, "bounded": false, "panics": false,
-		"ranged": false, "labeled": false, "switcher": false,
+		"spin":   false,
+		"poller": true, "bounded": true, "panics": true,
+		"ranged": true, "labeled": true, "switcher": true,
 	}
 	for name, w := range want {
-		if got := in.NeverReturns(fn(t, in, name)); got != w {
-			t.Errorf("NeverReturns(%s) = %v, want %v", name, got, w)
+		if got := exitReachable(fn(t, in, name)); got != w {
+			t.Errorf("exitReachable(%s) = %v, want %v", name, got, w)
 		}
 	}
 }
@@ -173,13 +195,17 @@ func f(x int) int {
 	}
 }
 
-// TestCallGraph checks static call resolution and FuncOf round-trips.
+// TestCallGraph resolves spinCall's one callee through TypesInfo.Uses, as
+// regmem does, and checks that FuncOf maps it back to spin's Func.
 func TestCallGraph(t *testing.T) {
 	in := load(t, cfgSrc)
 	var callees []*types.Func
 	ast.Inspect(fn(t, in, "spinCall").Body, func(n ast.Node) bool {
 		if call, ok := n.(*ast.CallExpr); ok {
-			callees = append(callees, in.StaticCallee(call))
+			if id, ok := call.Fun.(*ast.Ident); ok {
+				callee, _ := in.TypesInfo.Uses[id].(*types.Func)
+				callees = append(callees, callee)
+			}
 		}
 		return true
 	})
