@@ -3,9 +3,10 @@
 //
 //	go run ./cmd/rpcoiblint ./...
 //
-// It exits non-zero when any invariant is violated. The analyzers and their
-// escape hatches are documented in README.md ("Static analysis") and on
-// each package under internal/lint. Flags:
+// It exits 1 when any invariant is violated and 2 when it cannot run (an
+// -only name that matches no analyzer, a package that does not load). The
+// analyzers and their escape hatches are documented in README.md ("Static
+// analysis") and on each package under internal/lint. Flags:
 //
 //	-only determinism,regmem     run a subset of analyzers
 //	-golden <path>               metric-name golden file (default: the
@@ -53,7 +54,9 @@ func main() {
 	if *only != "" {
 		opts.Only = map[string]bool{}
 		for _, n := range strings.Split(*only, ",") {
-			opts.Only[strings.TrimSpace(n)] = true
+			if n = strings.TrimSpace(n); n != "" {
+				opts.Only[n] = true
+			}
 		}
 	}
 

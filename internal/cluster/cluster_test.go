@@ -121,6 +121,16 @@ func TestSocketNetEcho(t *testing.T) {
 	}
 }
 
+// poolMsg is the first n bytes of a native-pool buffer, put back on release.
+type poolMsg struct {
+	pool *bufpool.NativePool
+	b    *bufpool.Buffer
+	n    int
+}
+
+func (m *poolMsg) Buffer() (*bufpool.Buffer, int) { return m.b, m.n }
+func (m *poolMsg) Release()                       { m.pool.Put(m.b) }
+
 func TestRPCoIBNetBootstrapAndZeroCopy(t *testing.T) {
 	c := New(Config{Nodes: 2, Seed: 1})
 	var got []byte
@@ -160,13 +170,12 @@ func TestRPCoIBNetBootstrapAndZeroCopy(t *testing.T) {
 			return
 		}
 		pool := bufpool.NewNativePool(0)
-		b := pool.Get(64)
-		copy(b.Data, "zero-copy payload")
-		if err := ps.SendPooled(e, b, 17); err != nil {
+		m := &poolMsg{pool: pool, b: pool.Get(64), n: 17}
+		copy(m.b.Data, "zero-copy payload")
+		if err := ps.SendPooled(e, m); err != nil {
 			t.Error(err)
 			return
 		}
-		pool.Put(b)
 		if _, release, err := conn.Recv(e); err != nil {
 			t.Error(err)
 		} else {

@@ -18,7 +18,6 @@ import (
 // ibverbs.MuxEndpoint stream sharing a bounded physical QP set
 // (Config.QPMuxPerPeer, DESIGN.md S23).
 type verbsEP interface {
-	Send(p *sim.Proc, b *bufpool.Buffer, n int) error
 	SendSized(p *sim.Proc, b *bufpool.Buffer, n, size int) error
 	Recv(p *sim.Proc) ([]byte, func(), error)
 	WireTime(n int) time.Duration
@@ -82,7 +81,7 @@ var _ transport.SizedSender = (*sockConn)(nil)
 // but the simulated socket queues what it is given to the peer and delivers
 // it after the wire delay, by which time the sender has reused the buffer.
 func (c *sockConn) Send(e exec.Env, data []byte) error {
-	return c.c.Send(procOf(e), append([]byte(nil), data...))
+	return c.SendSized(e, data, len(data))
 }
 
 func (c *sockConn) SendSized(e exec.Env, data []byte, size int) error {
@@ -401,9 +400,13 @@ func (c *ibConn) SendSized(e exec.Env, data []byte, size int) error {
 	return err
 }
 
-// SendPooled transmits from a registered buffer with zero copies.
-func (c *ibConn) SendPooled(e exec.Env, b *bufpool.Buffer, n int) error {
-	return c.ep.Send(procOf(e), b, n)
+// SendPooled posts the message's registered buffer with zero copies, then
+// releases it.
+func (c *ibConn) SendPooled(e exec.Env, m transport.Pooled) error {
+	b, n := m.Buffer()
+	err := c.ep.SendSized(procOf(e), b, n, n)
+	m.Release()
+	return err
 }
 
 // Send is the non-pooled fallback (bootstrap/control payloads): it stages
@@ -411,11 +414,7 @@ func (c *ibConn) SendPooled(e exec.Env, b *bufpool.Buffer, n int) error {
 // pooled path avoids.
 func (c *ibConn) Send(e exec.Env, data []byte) error {
 	e.Work(c.c.Costs.Copy(len(data)))
-	b := c.dev.RecvPool().Get(len(data))
-	copy(b.Data, data)
-	err := c.ep.Send(procOf(e), b, len(data))
-	c.dev.RecvPool().Put(b)
-	return err
+	return c.SendSized(e, data, len(data))
 }
 
 func (c *ibConn) Recv(e exec.Env) ([]byte, func(), error) {

@@ -59,7 +59,6 @@ type ClientStats struct {
 	Calls    atomic.Int64
 	Resolved atomic.Int64
 	Errors   atomic.Int64
-	BytesOut atomic.Int64
 }
 
 // Client issues RPC calls. One Client multiplexes any number of caller
@@ -431,7 +430,6 @@ func (c *Client) issue(e exec.Env, addr, protocol, method string, param, reply w
 		tr.Child(span, "client.send", "client", sendStart+st.serialize, st.send,
 			"bytes", strconv.Itoa(st.bytes))
 	}
-	c.Stats.BytesOut.Add(int64(st.bytes))
 	c.m.bytesOut.Add(int64(st.bytes))
 	kind.observe(st)
 	return f
@@ -506,7 +504,7 @@ func (c *Client) kind(protocol, method string) *clientKind {
 }
 
 // sendRPCoIB serializes straight into a history-sized registered buffer and
-// hands it to the verbs transport with zero copies.
+// hands it to the transport as a pooled message (DESIGN.md S33).
 func (c *Client) sendRPCoIB(e exec.Env, conn *Connection, id int32, deadline time.Duration, tw traceWire, kind *clientKind, param wire.Writable) (sent, error) {
 	cost := c.cost()
 	t0 := e.Now()
@@ -523,22 +521,13 @@ func (c *Client) sendRPCoIB(e exec.Env, conn *Connection, id int32, deadline tim
 	serialize := e.Now() - t0
 
 	t1 := e.Now()
-	buf, n := s.Buffer()
+	n := s.Len()
 	c.work(e, cost.RPCOverhead)
 	if conn.lastSend > 0 && e.Now()-conn.lastSend < cost.ReapIdleGap {
 		c.work(e, cost.SendReap)
 	}
 	conn.lastSend = e.Now()
-	var err error
-	if ps, ok := conn.tc.(transport.PooledSender); ok {
-		err = ps.SendPooled(e, buf, n)
-		s.Release()
-	} else {
-		// Plain sockets write the registered buffer as it is; TCP hands it
-		// back before the frame's last bytes, so it is in the pool before the
-		// reply can arrive.
-		err = transport.SendReleasing(e, conn.tc, buf.Data[:n], s)
-	}
+	err := transport.SendPooled(e, conn.tc, s)
 	return sent{serialize: serialize, send: e.Now() - t1, bytes: n, adjustments: int64(s.Regets())}, err
 }
 

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"rpcoib/internal/bufpool"
 	"rpcoib/internal/exec"
 	"rpcoib/internal/tracing"
 	"rpcoib/internal/transport"
@@ -26,13 +25,9 @@ type MethodFunc func(e exec.Env, param wire.Writable) (wire.Writable, error)
 // calls dropped undispatched because their propagated deadline had already
 // passed. Neither is ever counted in CallsHandled: no handler ran.
 type ServerStats struct {
-	CallsReceived atomic.Int64
-	CallsHandled  atomic.Int64
-	CallErrors    atomic.Int64
-	CallsShed     atomic.Int64
-	CallsExpired  atomic.Int64
-	BytesIn       atomic.Int64
-	BytesOut      atomic.Int64
+	CallsHandled atomic.Int64
+	CallsShed    atomic.Int64
+	CallsExpired atomic.Int64
 }
 
 // Server is the Hadoop-style RPC server: a Listener accepting connections, a
@@ -216,8 +211,6 @@ func (s *Server) readerLoop(e exec.Env, conn transport.Conn) {
 			return
 		}
 		n := len(data)
-		s.Stats.CallsReceived.Add(1)
-		s.Stats.BytesIn.Add(int64(n))
 		s.m.callsReceived.Inc()
 		s.m.bytesIn.Add(int64(n))
 		if s.readerSem != nil {
@@ -425,7 +418,6 @@ func (s *Server) handlerLoop(e exec.Env) {
 		s.Stats.CallsHandled.Add(1)
 		s.m.callsHandled.Inc()
 		if callErr != nil {
-			s.Stats.CallErrors.Add(1)
 			s.m.callErrors.Inc()
 		}
 
@@ -550,8 +542,7 @@ func (s *Server) respond(e exec.Env, r *serverCall) {
 	respondStart := e.Now()
 	var n int
 	if s.opts.Mode == ModeRPCoIB {
-		var buf *bufpool.Buffer
-		buf, n = r.stream.Buffer()
+		n = r.stream.Len()
 		s.work(e, cost.RPCOverhead)
 		// The CQ is shared across connections: back-to-back sends from
 		// the responder reap the previous completion synchronously.
@@ -559,12 +550,7 @@ func (s *Server) respond(e exec.Env, r *serverCall) {
 			s.work(e, cost.SendReap)
 		}
 		s.lastReap = e.Now()
-		if ps, ok := r.conn.(transport.PooledSender); ok {
-			_ = ps.SendPooled(e, buf, n)
-			r.stream.Release()
-		} else {
-			_ = transport.SendReleasing(e, r.conn, buf.Data[:n], &r.stream)
-		}
+		_ = transport.SendPooled(e, r.conn, &r.stream)
 	} else {
 		n = len(r.data)
 		frame := make([]byte, 4+n)
@@ -573,7 +559,6 @@ func (s *Server) respond(e exec.Env, r *serverCall) {
 		s.work(e, cost.Copy(4+n)+cost.HeapNative(4+n)+cost.Syscall+cost.RPCOverhead)
 		_ = r.conn.Send(e, frame)
 	}
-	s.Stats.BytesOut.Add(int64(n))
 	s.m.bytesOut.Add(int64(n))
 	observeSince(r.md.respond, e, respondStart)
 	s.closeCallSpan(e, r, respondStart)

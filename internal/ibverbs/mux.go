@@ -317,7 +317,8 @@ type muxRecv struct {
 }
 
 // MuxEndpoint is one logical connection riding a muxed physical QP. It
-// mirrors the EndPoint API so the transport layer can treat both alike.
+// mirrors the EndPoint API the transport layer uses, so it can treat both
+// alike.
 type MuxEndpoint struct {
 	pipe   *muxPipe
 	stream uint64
@@ -328,11 +329,6 @@ type MuxEndpoint struct {
 
 // RemoteAddr identifies the peer listener plus the logical stream.
 func (me *MuxEndpoint) RemoteAddr() string { return me.remote }
-
-// Send transmits the first n bytes of b on the logical stream.
-func (me *MuxEndpoint) Send(p *sim.Proc, b *bufpool.Buffer, n int) error {
-	return me.SendSized(p, b, n, n)
-}
 
 // SendSized is EndPoint.SendSized on the logical stream: the stream id rides
 // the framing as muxHeader extra wire bytes.

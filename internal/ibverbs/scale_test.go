@@ -275,7 +275,7 @@ func muxEcho(t *testing.T, perPeer int, fn func(p *sim.Proc, s *sim.Sim, m *Mux,
 					b := net.Device(0).RecvPool().Get(n)
 					copy(b.Data, data)
 					release()
-					if err := me.Send(ep, b, n); err != nil {
+					if err := me.SendSized(ep, b, n, n); err != nil {
 						net.Device(0).RecvPool().Put(b)
 						return
 					}
@@ -315,7 +315,7 @@ func TestMuxSharesPhysicalQPs(t *testing.T) {
 		echo := func(ep *MuxEndpoint, tag byte) {
 			b := net.Device(1).RecvPool().Get(8)
 			b.Data[0] = tag
-			if err := ep.Send(p, b, 8); err != nil {
+			if err := ep.SendSized(p, b, 8, 8); err != nil {
 				t.Error(err)
 				return
 			}
@@ -394,7 +394,7 @@ func TestEPListenerCloseFaultsQueuedDials(t *testing.T) {
 				t.Errorf("dial %d: recv after listener close must fail fast", i)
 			}
 			sb := net.Device(1).RecvPool().Get(8)
-			if err := ep.Send(p, sb, 8); err == nil {
+			if err := ep.SendSized(p, sb, 8, 8); err == nil {
 				t.Errorf("dial %d: send after listener close must fail", i)
 			}
 			net.Device(1).RecvPool().Put(sb)

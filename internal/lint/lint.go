@@ -84,7 +84,8 @@ type Options struct {
 	// WriteGolden regenerates the golden file from the static view instead
 	// of comparing against it.
 	WriteGolden bool
-	// Only, when non-empty, restricts the run to the named analyzers.
+	// Only, when non-empty, restricts the run to the named analyzers. A
+	// name that matches no analyzer is an error.
 	Only map[string]bool
 }
 
@@ -102,6 +103,9 @@ func (f Finding) String() string {
 // Run executes the suite over the packages matched by patterns and returns
 // every finding, sorted by position.
 func Run(patterns []string, opts Options) ([]Finding, error) {
+	if err := checkOnly(opts.Only); err != nil {
+		return nil, err
+	}
 	pkgs, err := loader.LoadModule(patterns...)
 	if err != nil {
 		return nil, err
@@ -114,7 +118,7 @@ func Run(patterns []string, opts Options) ([]Finding, error) {
 		// every analyzer in the suite.
 		ssa := ssalite.Build(pkg.Fset, pkg.Files, pkg.Types, pkg.Info)
 		for _, a := range Analyzers {
-			if opts.Only != nil && !opts.Only[a.Name] {
+			if len(opts.Only) > 0 && !opts.Only[a.Name] {
 				continue
 			}
 			if !InScope(a, pkg.PkgPath) {
@@ -160,6 +164,26 @@ func Run(patterns []string, opts Options) ([]Finding, error) {
 		return a.Message < b.Message
 	})
 	return findings, nil
+}
+
+// checkOnly names every entry of only that matches no analyzer: a misspelt
+// or retired name would otherwise run nothing and pass as a clean lint.
+func checkOnly(only map[string]bool) error {
+	known := map[string]bool{}
+	for _, a := range Analyzers {
+		known[a.Name] = true
+	}
+	var unknown []string
+	for name := range only {
+		if !known[name] {
+			unknown = append(unknown, name)
+		}
+	}
+	if len(unknown) == 0 {
+		return nil
+	}
+	sort.Strings(unknown)
+	return fmt.Errorf("no analyzer named %s (-list prints the suite)", strings.Join(unknown, ", "))
 }
 
 // goldenFindings performs the aggregate half of metricnames: expand the

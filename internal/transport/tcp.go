@@ -29,10 +29,10 @@ const recvStep = 4 << 20
 // else has arrived, in one syscall, and handed out as a view. A larger frame
 // grows the buffer to that frame (readBuf.room); bufpool.ShrinkAfter says
 // when it gives the memory back. The buffer is the only memory a connection
-// end retains. It is also where SendReleasing starts to split a frame.
+// end retains. It is also where SendPooled starts to split a frame.
 const readBufSize = 8 << 10
 
-// sendTail is how many of a large pooled frame's last bytes SendReleasing
+// sendTail is how many of a large pooled frame's last bytes SendPooled
 // writes from the connection's own array, after the pooled buffer is back in
 // its pool. Any length above zero keeps the frame's end behind the release;
 // a few bytes keep the copy free.
@@ -123,31 +123,32 @@ func (c *tcpConn) Send(_ exec.Env, data []byte) error {
 	return c.writev(len(data), data)
 }
 
-// SendReleasing sends data, which lies in a pooled buffer, and releases that
-// buffer before the peer can hold the whole frame. A frame that fits
-// readBufSize goes out in one vectored write, released after it. A larger one
-// is written from the pooled buffer up to its last sendTail bytes; those are
-// copied to the connection's own array, r is released, and then they are
-// written. The peer cannot read the frame's last byte, and so cannot answer
-// it or issue its next call, before the buffer is back in the pool: a
-// writer the scheduler parks after a long write no longer holds a registered
-// buffer that the next call needs.
-func (c *tcpConn) SendReleasing(_ exec.Env, data []byte, r Releaser) error {
-	if len(data) > maxFrame {
-		r.Release()
-		return fmt.Errorf("transport: frame of %d bytes exceeds limit", len(data))
+// SendPooled sends m and releases its buffer before the peer can hold the
+// whole frame. A frame that fits readBufSize goes out in one vectored write,
+// released after it. A larger one is written from the pooled buffer up to its
+// last sendTail bytes; those are copied to the connection's own array, m is
+// released, and then they are written. The peer cannot read the frame's last
+// byte, and so cannot answer it or issue its next call, before the buffer is
+// back in the pool: a writer the scheduler parks after a long write no longer
+// holds a registered buffer that the next call needs.
+func (c *tcpConn) SendPooled(_ exec.Env, m Pooled) error {
+	b, n := m.Buffer()
+	if n > maxFrame {
+		m.Release()
+		return fmt.Errorf("transport: frame of %d bytes exceeds limit", n)
 	}
+	data := b.Data[:n]
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	if 4+len(data) <= readBufSize {
-		err := c.writev(len(data), data)
-		r.Release()
+	if 4+n <= readBufSize {
+		err := c.writev(n, data)
+		m.Release()
 		return err
 	}
-	cut := len(data) - sendTail
-	err := c.writev(len(data), data[:cut])
+	cut := n - sendTail
+	err := c.writev(n, data[:cut])
 	copy(c.wtail[:], data[cut:])
-	r.Release()
+	m.Release()
 	if err != nil {
 		return err
 	}

@@ -12,10 +12,20 @@ import (
 	"rpcoib/internal/exec"
 )
 
-// countingReleaser counts its releases.
-type countingReleaser struct{ n atomic.Int32 }
+// countingMsg is a pooled message, the first size bytes of a buffer that no
+// pool owns: it counts its releases.
+type countingMsg struct {
+	buf  *bufpool.Buffer
+	size int
+	n    atomic.Int32
+}
 
-func (r *countingReleaser) Release() { r.n.Add(1) }
+func newCountingMsg(data []byte) *countingMsg {
+	return &countingMsg{buf: &bufpool.Buffer{Data: data}, size: len(data)}
+}
+
+func (m *countingMsg) Buffer() (*bufpool.Buffer, int) { return m.buf, m.size }
+func (m *countingMsg) Release()                       { m.n.Add(1) }
 
 // TestTCPSendReleasingReleasesBeforeLastByte: over a pipe, whose writes
 // complete only as the peer reads them, the pooled buffer of a large frame is
@@ -27,9 +37,9 @@ func TestTCPSendReleasingReleasesBeforeLastByte(t *testing.T) {
 	defer conn.Close()
 	defer peer.Close()
 	for _, n := range []int{readBufSize - 3, 64 << 10, 1 << 20} {
-		var r countingReleaser
+		r := newCountingMsg(testBody(n, n))
 		sent := make(chan error, 1)
-		go func() { sent <- conn.SendReleasing(nil, testBody(n, n), &r) }()
+		go func() { sent <- conn.SendPooled(nil, r) }()
 		got := make([]byte, 4+n)
 		if _, err := io.ReadFull(peer, got); err != nil {
 			t.Fatal(err)
@@ -50,7 +60,7 @@ func TestTCPSendReleasingReleasesBeforeLastByte(t *testing.T) {
 // released by then.
 type writeLog struct {
 	net.Conn // nil: only Write is used
-	rel      *countingReleaser
+	rel      *countingMsg
 	wrote    bytes.Buffer
 	writes   []int // bytes per Write
 	after    []int // bytes per Write made after the release
@@ -80,9 +90,9 @@ func TestTCPSendReleasingFrameShapes(t *testing.T) {
 		{readBufSize - 3, []int{4, readBufSize - 3 - sendTail, sendTail}, []int{sendTail}},
 		{1 << 20, []int{4, 1<<20 - sendTail, sendTail}, []int{sendTail}},
 	} {
-		var r countingReleaser
-		raw := &writeLog{rel: &r}
-		if err := newTCPConn(raw).SendReleasing(nil, testBody(1, tc.n), &r); err != nil {
+		r := newCountingMsg(testBody(1, tc.n))
+		raw := &writeLog{rel: r}
+		if err := newTCPConn(raw).SendPooled(nil, r); err != nil {
 			t.Fatal(err)
 		}
 		if r.n.Load() != 1 {
@@ -112,10 +122,10 @@ func TestTCPSendReleasingFailureReleasesOnce(t *testing.T) {
 		{"large bulk", 256 << 10, 2},
 		{"large tail", 256 << 10, 3},
 	} {
-		var r countingReleaser
+		r := newCountingMsg(testBody(2, tc.n))
 		raw := &failingConn{failAt: tc.failAt}
 		conn := newTCPConn(raw)
-		if err := conn.SendReleasing(env, testBody(2, tc.n), &r); err == nil {
+		if err := conn.SendPooled(env, r); err == nil {
 			t.Fatalf("%s: no error for a failed write", tc.name)
 		}
 		if r.n.Load() != 1 {
@@ -124,21 +134,23 @@ func TestTCPSendReleasingFailureReleasesOnce(t *testing.T) {
 		if !raw.closed {
 			t.Fatalf("%s: a failed write left the connection open", tc.name)
 		}
-		if err := conn.SendReleasing(env, []byte("later"), &r); err == nil || r.n.Load() != 2 {
+		r.buf, r.size = &bufpool.Buffer{Data: []byte("later")}, 5
+		if err := conn.SendPooled(env, r); err == nil || r.n.Load() != 2 {
 			t.Fatalf("%s: a later send on the closed connection: err %v, %d releases", tc.name, err, r.n.Load())
 		}
 	}
 }
 
-// shadowReleaser gives a shadow pool's buffer back as the engine's stream
-// does.
-type shadowReleaser struct {
+// shadowMsg is a message in a shadow pool's buffer, given back as the
+// engine's stream does.
+type shadowMsg struct {
 	pool *bufpool.ShadowPool
 	buf  *bufpool.Buffer
 	n    int
 }
 
-func (r *shadowReleaser) Release() { r.pool.Release("test+large", r.buf, r.n) }
+func (r *shadowMsg) Buffer() (*bufpool.Buffer, int) { return r.buf, r.n }
+func (r *shadowMsg) Release()                       { r.pool.Release("test+large", r.buf, r.n) }
 
 // TestTCPSendReleasingTailSurvivesPoison: the frame is sent from a pool
 // buffer that a `poison` build fills with 0xDB on release, while the tail is
@@ -150,10 +162,10 @@ func TestTCPSendReleasingTailSurvivesPoison(t *testing.T) {
 	defer conn.Close()
 	defer peer.Close()
 	const n = 256 << 10
-	r := &shadowReleaser{pool: pool, buf: pool.Native().Get(n), n: n}
+	r := &shadowMsg{pool: pool, buf: pool.Native().Get(n), n: n}
 	copy(r.buf.Data, testBody(3, n))
 	sent := make(chan error, 1)
-	go func() { sent <- conn.SendReleasing(nil, r.buf.Data[:n], r) }()
+	go func() { sent <- conn.SendPooled(nil, r) }()
 	_, release := recvFrame(t, peer, 3, n)
 	release()
 	if err := <-sent; err != nil {

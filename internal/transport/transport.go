@@ -39,36 +39,33 @@ type Conn interface {
 	RemoteAddr() string
 }
 
-// PooledSender is implemented by zero-copy transports (the verbs path):
-// SendPooled transmits the first n bytes of a registered pool buffer without
-// any intermediate copy. The caller keeps ownership of b and may reuse it as
-// soon as SendPooled returns.
+// Pooled is a message serialized into a pooled buffer: its first n bytes
+// are the message, and Release returns the buffer to its pool.
+type Pooled interface {
+	Buffer() (b *bufpool.Buffer, n int)
+	Release()
+}
+
+// PooledSender is implemented by transports with a cheaper way to send a
+// pooled message than Send: the verbs path posts the registered buffer with
+// no copy, TCP gives it back before the frame's last bytes. SendPooled calls
+// m.Release exactly once, whatever the outcome. Release may run while the
+// connection's sends are held back, so it must not send on that connection.
 type PooledSender interface {
-	SendPooled(e exec.Env, b *bufpool.Buffer, n int) error
+	SendPooled(e exec.Env, m Pooled) error
 }
 
-// Releaser owns a pooled buffer a message is sent from: Release returns it to
-// its pool.
-type Releaser interface{ Release() }
-
-// ReleasingSender is implemented by transports that can give a pooled send
-// buffer back before the message has fully left (TCP): SendReleasing sends
-// data and calls r.Release exactly once, whatever the outcome, before the
-// peer can hold the whole message. Release runs while the connection's sends
-// are held back, so it must not send on that connection.
-type ReleasingSender interface {
-	SendReleasing(e exec.Env, data []byte, r Releaser) error
-}
-
-// SendReleasing sends data, which lies in a buffer r owns, and calls
-// r.Release exactly once: early where the conn supports it, once Send has
-// returned otherwise (a simulated socket takes its own copy).
-func SendReleasing(e exec.Env, c Conn, data []byte, r Releaser) error {
-	if rs, ok := c.(ReleasingSender); ok {
-		return rs.SendReleasing(e, data, r)
+// SendPooled sends m and releases it exactly once: the way the conn chooses
+// where it is a PooledSender, otherwise as a plain Send of the message
+// followed by Release (a simulated socket takes its own copy, and a
+// decorator that wraps only Conn times its Send).
+func SendPooled(e exec.Env, c Conn, m Pooled) error {
+	if ps, ok := c.(PooledSender); ok {
+		return ps.SendPooled(e, m)
 	}
-	err := c.Send(e, data)
-	r.Release()
+	b, n := m.Buffer()
+	err := c.Send(e, b.Data[:n])
+	m.Release()
 	return err
 }
 
