@@ -3,9 +3,9 @@ package rpcoib
 // One benchmark per table/figure of the paper's evaluation, plus the
 // ablations called out in DESIGN.md. Each benchmark runs a scaled-down
 // version of the experiment (so `go test -bench=.` completes in minutes) and
-// reports the headline quantity via b.ReportMetric; the cmd/ binaries run
-// the full paper-scale versions and print the complete tables recorded in
-// EXPERIMENTS.md.
+// reports the headline quantity via b.ReportMetric, on a zero bench.Harness
+// (no metrics, trace or faults); the cmd/ binaries run the full paper-scale
+// versions and print the complete tables recorded in EXPERIMENTS.md.
 
 import (
 	"fmt"
@@ -23,7 +23,7 @@ import (
 // Sort job; scaled to 1 GB on 9 nodes).
 func BenchmarkTable1Profile(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := bench.Table1Profile(nil, 1)
+		res := new(bench.Harness).Table1Profile(nil, 1)
 		rows := core.SendRows(res.Profile)
 		if len(rows) < 10 {
 			b.Fatalf("only %d profiled call kinds", len(rows))
@@ -37,7 +37,7 @@ func BenchmarkTable1Profile(b *testing.B) {
 // call receive time) at the 2 MB point.
 func BenchmarkFig1AllocRatio(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := bench.Fig1AllocRatio(nil, []int{2 << 20}, 10)
+		rows := new(bench.Harness).Fig1AllocRatio(nil, []int{2 << 20}, 10)
 		b.ReportMetric(rows[0].IPoIB, "ratio-ipoib")
 		b.ReportMetric(rows[0].OneGigE, "ratio-1gige")
 	}
@@ -47,7 +47,7 @@ func BenchmarkFig1AllocRatio(b *testing.B) {
 // from a profiled Sort run.
 func BenchmarkFig3SizeLocality(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := bench.Table1Profile(nil, 1)
+		res := new(bench.Harness).Table1Profile(nil, 1)
 		series := bench.Fig3SizeLocality(nil, res)
 		for _, s := range series {
 			b.ReportMetric(s.Locality, "locality-"+s.Name)
@@ -59,7 +59,7 @@ func BenchmarkFig3SizeLocality(b *testing.B) {
 // latencies (microseconds).
 func BenchmarkFig5aLatency(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := bench.Fig5aLatency(nil, []int{1, 4096}, 50)
+		rows := new(bench.Harness).Fig5aLatency(nil, []int{1, 4096}, 50)
 		b.ReportMetric(float64(rows[0].RPCoIB.Microseconds()), "us-rpcoib-1B")
 		b.ReportMetric(float64(rows[0].IPoIB.Microseconds()), "us-ipoib-1B")
 		b.ReportMetric(float64(rows[1].RPCoIB.Microseconds()), "us-rpcoib-4KB")
@@ -69,7 +69,7 @@ func BenchmarkFig5aLatency(b *testing.B) {
 // BenchmarkFig5bThroughput regenerates Figure 5(b) at the 64-client peak.
 func BenchmarkFig5bThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := bench.Fig5bThroughput(nil, []int{64}, 100)
+		rows := new(bench.Harness).Fig5bThroughput(nil, []int{64}, 100)
 		b.ReportMetric(rows[0].RPCoIB, "kops-rpcoib")
 		b.ReportMetric(rows[0].IPoIB, "kops-ipoib")
 		b.ReportMetric(rows[0].TenGigE, "kops-10gige")
@@ -79,7 +79,7 @@ func BenchmarkFig5bThroughput(b *testing.B) {
 // BenchmarkFig6aSort regenerates Figure 6(a) scaled down (8 slaves, 4 GB).
 func BenchmarkFig6aSort(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		points := bench.Fig6aSort(nil, 8, []int{4})
+		points := new(bench.Harness).Fig6aSort(nil, 8, []int{4})
 		for _, p := range points {
 			b.ReportMetric(p.Sort.Seconds(), "sort-s-"+p.Mode)
 			b.ReportMetric(p.RandomWriter.Seconds(), "rw-s-"+p.Mode)
@@ -91,7 +91,7 @@ func BenchmarkFig6aSort(b *testing.B) {
 // 240/48 + 24/24 tasks).
 func BenchmarkFig6bCloudBurst(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		points := bench.Fig6bCloudBurst(nil)
+		points := new(bench.Harness).Fig6bCloudBurst(nil)
 		for _, p := range points {
 			b.ReportMetric(p.Total.Seconds(), "total-s-"+p.Mode)
 		}
@@ -102,7 +102,7 @@ func BenchmarkFig6bCloudBurst(b *testing.B) {
 // 1 GB files, all seven configurations).
 func BenchmarkFig7HDFSWrite(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		points := bench.Fig7HDFSWrite(nil, 8, []int{1})
+		points := new(bench.Harness).Fig7HDFSWrite(nil, 8, []int{1})
 		for _, p := range points {
 			b.ReportMetric(p.Time.Seconds(), "s-"+p.Config)
 		}
@@ -111,7 +111,7 @@ func BenchmarkFig7HDFSWrite(b *testing.B) {
 
 func benchFig8(b *testing.B, mix ycsb.Mix, name string) {
 	for i := 0; i < b.N; i++ {
-		points := bench.Fig8HBase(nil, mix, name, []int{50_000}, 32_000)
+		points := new(bench.Harness).Fig8HBase(nil, mix, name, []int{50_000}, 32_000)
 		for _, p := range points {
 			b.ReportMetric(p.Kops, "kops-"+p.Config)
 		}
@@ -131,7 +131,7 @@ func BenchmarkFig8cMix(b *testing.B) { benchFig8(b, ycsb.WorkloadMix, "50-50") }
 // the RPCoIB transport under each pool policy.
 func BenchmarkAblationPoolPolicy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := bench.AblationPoolPolicy(nil, 512, 200)
+		rows := new(bench.Harness).AblationPoolPolicy(nil, 512, 200)
 		for _, r := range rows {
 			b.ReportMetric(float64(r.Latency.Microseconds()), "us-"+r.Policy.String())
 		}
@@ -141,7 +141,7 @@ func BenchmarkAblationPoolPolicy(b *testing.B) {
 // BenchmarkAblationRDMAThreshold sweeps the eager/RDMA crossover at 64 KB.
 func BenchmarkAblationRDMAThreshold(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := bench.AblationRDMAThreshold(nil, 64<<10, nil, 50)
+		rows := new(bench.Harness).AblationRDMAThreshold(nil, 64<<10, nil, 50)
 		for _, r := range rows {
 			b.ReportMetric(float64(r.Latency.Microseconds()), fmt.Sprintf("us-thresh-%dK", r.Threshold>>10))
 		}

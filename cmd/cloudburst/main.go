@@ -14,6 +14,6 @@ func main() {
 	harness := bench.RegisterFlags(flag.CommandLine, false)
 	flag.Parse()
 	harness.Start()
-	bench.Fig6bCloudBurst(os.Stdout)
+	harness.Fig6bCloudBurst(os.Stdout)
 	harness.Finish()
 }

@@ -46,7 +46,7 @@ func main() {
 		if *mixFlag != "all" && selected[*mixFlag] != mm.name {
 			continue
 		}
-		bench.Fig8HBase(os.Stdout, mm.mix, mm.name, recordCounts, *ops)
+		harness.Fig8HBase(os.Stdout, mm.mix, mm.name, recordCounts, *ops)
 		fmt.Println()
 		ran = true
 	}

@@ -28,6 +28,6 @@ func main() {
 		}
 		sizesGB = append(sizesGB, gb)
 	}
-	bench.Fig7HDFSWrite(os.Stdout, *dataNodes, sizesGB)
+	harness.Fig7HDFSWrite(os.Stdout, *dataNodes, sizesGB)
 	harness.Finish()
 }

@@ -25,15 +25,15 @@ func main() {
 
 	switch *experiment {
 	case "table1":
-		bench.Table1Profile(os.Stdout, *dataGB)
+		harness.Table1Profile(os.Stdout, *dataGB)
 	case "fig1":
-		bench.Fig1AllocRatio(os.Stdout, nil, *iters)
+		harness.Fig1AllocRatio(os.Stdout, nil, *iters)
 	case "fig3":
-		res := bench.Table1Profile(nil, *dataGB)
+		res := harness.Table1Profile(nil, *dataGB)
 		bench.Fig3SizeLocality(os.Stdout, res)
 	case "metrics":
-		reg := bench.EnableMetrics()
-		res := bench.Table1Profile(os.Stdout, *dataGB)
+		reg := harness.Metrics()
+		res := harness.Table1Profile(os.Stdout, *dataGB)
 		fmt.Println()
 		fmt.Println("Buffer-allocation share of receive time, per call kind:")
 		for _, a := range core.AllocShares(res.Profile) {
@@ -46,11 +46,11 @@ func main() {
 			os.Exit(1)
 		}
 	case "all":
-		res := bench.Table1Profile(os.Stdout, *dataGB)
+		res := harness.Table1Profile(os.Stdout, *dataGB)
 		fmt.Println()
 		bench.Fig3SizeLocality(os.Stdout, res)
 		fmt.Println()
-		bench.Fig1AllocRatio(os.Stdout, nil, *iters)
+		harness.Fig1AllocRatio(os.Stdout, nil, *iters)
 	default:
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *experiment)
 		os.Exit(2)

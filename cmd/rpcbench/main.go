@@ -35,27 +35,27 @@ func main() {
 	run := func(name string) bool { return *experiment == "all" || *experiment == name }
 	any := false
 	if run("latency") {
-		bench.Fig5aLatency(os.Stdout, nil, *iters)
+		harness.Fig5aLatency(os.Stdout, nil, *iters)
 		fmt.Println()
 		any = true
 	}
 	if run("throughput") {
-		bench.Fig5bThroughput(os.Stdout, nil, *iters)
+		harness.Fig5bThroughput(os.Stdout, nil, *iters)
 		fmt.Println()
 		any = true
 	}
 	if run("threshold") {
-		bench.AblationRDMAThreshold(os.Stdout, 64<<10, nil, *iters)
+		harness.AblationRDMAThreshold(os.Stdout, 64<<10, nil, *iters)
 		fmt.Println()
 		any = true
 	}
 	if run("pool") {
-		bench.AblationPoolPolicy(os.Stdout, 512, *iters)
+		harness.AblationPoolPolicy(os.Stdout, 512, *iters)
 		fmt.Println()
 		any = true
 	}
 	if run("readers") {
-		bench.AblationReaders(os.Stdout, nil, 32, *iters)
+		harness.AblationReaders(os.Stdout, nil, 32, *iters)
 		fmt.Println()
 		any = true
 	}

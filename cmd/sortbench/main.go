@@ -27,6 +27,6 @@ func main() {
 		}
 		sizesGB = append(sizesGB, gb)
 	}
-	bench.Fig6aSort(os.Stdout, *slaves, sizesGB)
+	harness.Fig6aSort(os.Stdout, *slaves, sizesGB)
 	harness.Finish()
 }

@@ -6,11 +6,8 @@ import (
 	"time"
 
 	"rpcoib/internal/bufpool"
-	"rpcoib/internal/cluster"
 	"rpcoib/internal/core"
-	"rpcoib/internal/exec"
 	"rpcoib/internal/perfmodel"
-	"rpcoib/internal/wire"
 )
 
 // PolicyRow is one buffer-pool ablation measurement: the same RPCoIB
@@ -25,7 +22,7 @@ type PolicyRow struct {
 }
 
 // AblationPoolPolicy measures ping-pong latency under each pool policy.
-func AblationPoolPolicy(w io.Writer, payload, iters int) []PolicyRow {
+func (h *Harness) AblationPoolPolicy(w io.Writer, payload, iters int) []PolicyRow {
 	Fprintf(w, "Ablation: buffer-pool policy at %dB payload (RPCoIB transport held fixed)\n", payload)
 	Fprintf(w, "%-12s %12s %8s %14s %14s\n", "policy", "latency(us)", "regets", "peakReg(KB)", "unregSends")
 	policies := []bufpool.Policy{
@@ -34,7 +31,7 @@ func AblationPoolPolicy(w io.Writer, payload, iters int) []PolicyRow {
 	}
 	rows := make([]PolicyRow, 0, len(policies))
 	for _, policy := range policies {
-		row := poolPolicyOnce(policy, payload, iters)
+		row := h.poolPolicyOnce(policy, payload, iters)
 		rows = append(rows, row)
 		Fprintf(w, "%-12s %12.1f %8d %14d %14d\n", row.Policy,
 			us(row.Latency), row.Regets, row.PeakBytes/1024, row.Unregistered)
@@ -42,49 +39,21 @@ func AblationPoolPolicy(w io.Writer, payload, iters int) []PolicyRow {
 	return rows
 }
 
-func poolPolicyOnce(policy bufpool.Policy, payload, iters int) PolicyRow {
-	cl := newCluster(cluster.ClusterB())
+func (h *Harness) poolPolicyOnce(policy bufpool.Policy, payload, iters int) PolicyRow {
 	clientPool := bufpool.NewShadowPool(bufpool.NewNativePool(0), policy)
 	serverPool := bufpool.NewShadowPool(bufpool.NewNativePool(0), policy)
-	cl.SpawnOn(0, "server", func(e exec.Env) {
-		srv := core.NewServer(cl.RPCoIBNet(0), core.Options{
-			Mode: core.ModeRPCoIB, Costs: cl.Costs, Pool: serverPool, Metrics: benchReg, Trace: benchTrace,
-		})
-		srv.Register("bench.PingPongProtocol", "pingpong",
-			func() wire.Writable { return &wire.BytesWritable{} },
-			func(e exec.Env, p wire.Writable) (wire.Writable, error) { return p, nil })
-		if err := srv.Start(e, 9000); err != nil {
-			panic(err)
-		}
+	run := h.pingPong(pingPong{
+		name: "ablation_pool_policy/policy=" + policy.String(),
+		mode: core.ModeRPCoIB, serverPool: serverPool, clientPool: clientPool,
+		payload: payload, warmup: 3, calls: iters, horizon: time.Minute,
 	})
-	row := PolicyRow{Policy: policy}
-	cl.SpawnOn(1, "client", func(e exec.Env) {
-		e.Sleep(time.Millisecond)
-		client := core.NewClient(cl.RPCoIBNet(1), core.Options{
-			Mode: core.ModeRPCoIB, Costs: cl.Costs, Pool: clientPool, Metrics: benchReg, Trace: benchTrace,
-		})
-		param := &wire.BytesWritable{Value: make([]byte, payload)}
-		var reply wire.BytesWritable
-		for i := 0; i < 3; i++ {
-			if err := client.Call(e, "node0:9000", "bench.PingPongProtocol", "pingpong", param, &reply); err != nil {
-				panic(err)
-			}
-		}
-		start := e.Now()
-		for i := 0; i < iters; i++ {
-			if err := client.Call(e, "node0:9000", "bench.PingPongProtocol", "pingpong", param, &reply); err != nil {
-				panic(err)
-			}
-		}
-		row.Latency = (e.Now() - start) / time.Duration(iters)
-	})
-	end := cl.RunUntil(time.Minute)
-	recordRun("ablation_pool_policy/policy="+policy.String(), end)
-	st := clientPool.StatsSnapshot()
-	row.Regets = st.Regets
-	row.PeakBytes = clientPool.Native().StatsSnapshot().PeakRegistered
-	row.Unregistered = cl.IBNet().Device(1).StatsSnapshot().UnregisteredTx
-	return row
+	return PolicyRow{
+		Policy:       policy,
+		Latency:      run.elapsed / time.Duration(iters),
+		Regets:       clientPool.StatsSnapshot().Regets,
+		PeakBytes:    clientPool.Native().StatsSnapshot().PeakRegistered,
+		Unregistered: run.cl.IBNet().Device(1).StatsSnapshot().UnregisteredTx,
+	}
 }
 
 // ThresholdRow is one eager/RDMA threshold ablation point.
@@ -97,7 +66,7 @@ type ThresholdRow struct {
 
 // AblationRDMAThreshold sweeps the send/recv-vs-RDMA crossover (the paper's
 // "tunable threshold") at a fixed payload.
-func AblationRDMAThreshold(w io.Writer, payload int, thresholds []int, iters int) []ThresholdRow {
+func (h *Harness) AblationRDMAThreshold(w io.Writer, payload int, thresholds []int, iters int) []ThresholdRow {
 	if len(thresholds) == 0 {
 		thresholds = []int{1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10}
 	}
@@ -105,53 +74,26 @@ func AblationRDMAThreshold(w io.Writer, payload int, thresholds []int, iters int
 	Fprintf(w, "%12s %12s %8s %8s\n", "threshold", "latency(us)", "eager", "rdma")
 	rows := make([]ThresholdRow, 0, len(thresholds))
 	for _, th := range thresholds {
-		row := thresholdOnce(th, payload, iters)
+		row := h.thresholdOnce(th, payload, iters)
 		rows = append(rows, row)
 		Fprintf(w, "%12d %12.1f %8d %8d\n", row.Threshold, us(row.Latency), row.Eager, row.RDMA)
 	}
 	return rows
 }
 
-func thresholdOnce(threshold, payload, iters int) ThresholdRow {
-	cc := cluster.ClusterB()
-	cc.RDMAThreshold = threshold
-	cl := newCluster(cc)
-	cl.SpawnOn(0, "server", func(e exec.Env) {
-		srv := core.NewServer(cl.RPCoIBNet(0),
-			core.Options{Mode: core.ModeRPCoIB, Costs: cl.Costs, Metrics: benchReg, Trace: benchTrace})
-		srv.Register("bench.PingPongProtocol", "pingpong",
-			func() wire.Writable { return &wire.BytesWritable{} },
-			func(e exec.Env, p wire.Writable) (wire.Writable, error) { return p, nil })
-		if err := srv.Start(e, 9000); err != nil {
-			panic(err)
-		}
+func (h *Harness) thresholdOnce(threshold, payload, iters int) ThresholdRow {
+	run := h.pingPong(pingPong{
+		name: fmt.Sprintf("ablation_rdma_threshold/threshold=%d", threshold),
+		mode: core.ModeRPCoIB, threshold: threshold,
+		payload: payload, warmup: 3, calls: iters, horizon: time.Minute,
 	})
-	row := ThresholdRow{Threshold: threshold}
-	cl.SpawnOn(1, "client", func(e exec.Env) {
-		e.Sleep(time.Millisecond)
-		client := core.NewClient(cl.RPCoIBNet(1),
-			core.Options{Mode: core.ModeRPCoIB, Costs: cl.Costs, Metrics: benchReg, Trace: benchTrace})
-		param := &wire.BytesWritable{Value: make([]byte, payload)}
-		var reply wire.BytesWritable
-		for i := 0; i < 3; i++ {
-			if err := client.Call(e, "node0:9000", "bench.PingPongProtocol", "pingpong", param, &reply); err != nil {
-				panic(err)
-			}
-		}
-		start := e.Now()
-		for i := 0; i < iters; i++ {
-			if err := client.Call(e, "node0:9000", "bench.PingPongProtocol", "pingpong", param, &reply); err != nil {
-				panic(err)
-			}
-		}
-		row.Latency = (e.Now() - start) / time.Duration(iters)
-	})
-	end := cl.RunUntil(time.Minute)
-	recordRun(fmt.Sprintf("ablation_rdma_threshold/threshold=%d", threshold), end)
-	st := cl.IBNet().Device(1).StatsSnapshot()
-	row.Eager = st.EagerSends
-	row.RDMA = st.RDMASends
-	return row
+	st := run.cl.IBNet().Device(1).StatsSnapshot()
+	return ThresholdRow{
+		Threshold: threshold,
+		Latency:   run.elapsed / time.Duration(iters),
+		Eager:     st.EagerSends,
+		RDMA:      st.RDMASends,
+	}
 }
 
 // ReadersRow is one Reader-pool-width ablation point: baseline RPC
@@ -164,7 +106,7 @@ type ReadersRow struct {
 // AblationReaders sweeps the baseline server's read-stage width,
 // quantifying how much of RPCoIB's throughput win is the per-connection
 // Reader design versus the buffer management.
-func AblationReaders(w io.Writer, widths []int, clients, callsPerClient int) []ReadersRow {
+func (h *Harness) AblationReaders(w io.Writer, widths []int, clients, callsPerClient int) []ReadersRow {
 	if len(widths) == 0 {
 		widths = []int{1, 2, 4, 8}
 	}
@@ -172,49 +114,18 @@ func AblationReaders(w io.Writer, widths []int, clients, callsPerClient int) []R
 	Fprintf(w, "%8s %14s\n", "readers", "Kops/sec")
 	rows := make([]ReadersRow, 0, len(widths))
 	for _, n := range widths {
-		tput := readersOnce(n, clients, callsPerClient)
+		tput := h.readersOnce(n, clients, callsPerClient)
 		rows = append(rows, ReadersRow{Readers: n, Throughput: tput})
 		Fprintf(w, "%8d %14.1f\n", n, tput/1000)
 	}
 	return rows
 }
 
-func readersOnce(readers, clients, callsPerClient int) float64 {
-	cl := newCluster(cluster.ClusterB())
-	cl.SpawnOn(0, "server", func(e exec.Env) {
-		srv := core.NewServer(cl.SocketNet(perfmodel.IPoIB, 0), core.Options{
-			Mode: core.ModeBaseline, Costs: cl.Costs, Handlers: 8, Readers: readers,
-			Metrics: benchReg, Trace: benchTrace,
-		})
-		srv.Register("bench.PingPongProtocol", "pingpong",
-			func() wire.Writable { return &wire.BytesWritable{} },
-			func(e exec.Env, p wire.Writable) (wire.Writable, error) { return p, nil })
-		if err := srv.Start(e, 9000); err != nil {
-			panic(err)
-		}
+func (h *Harness) readersOnce(readers, clients, callsPerClient int) float64 {
+	run := h.pingPong(pingPong{
+		name: fmt.Sprintf("ablation_readers/readers=%d", readers),
+		mode: core.ModeBaseline, kind: perfmodel.IPoIB, handlers: 8, readers: readers,
+		payload: 512, clients: clients, calls: callsPerClient, horizon: 10 * time.Minute,
 	})
-	done := 0
-	var finish time.Duration
-	for i := 0; i < clients; i++ {
-		node := 1 + i%8
-		cl.SpawnOn(node, "client", func(e exec.Env) {
-			e.Sleep(time.Millisecond)
-			client := core.NewClient(cl.SocketNet(perfmodel.IPoIB, node),
-				core.Options{Mode: core.ModeBaseline, Costs: cl.Costs, Metrics: benchReg, Trace: benchTrace})
-			param := &wire.BytesWritable{Value: make([]byte, 512)}
-			var reply wire.BytesWritable
-			for j := 0; j < callsPerClient; j++ {
-				if err := client.Call(e, "node0:9000", "bench.PingPongProtocol", "pingpong", param, &reply); err != nil {
-					panic(err)
-				}
-				done++
-			}
-			if e.Now() > finish {
-				finish = e.Now()
-			}
-		})
-	}
-	end := cl.RunUntil(10 * time.Minute)
-	recordRun(fmt.Sprintf("ablation_readers/readers=%d", readers), end)
-	return float64(done) / (finish - time.Millisecond).Seconds()
+	return float64(clients*callsPerClient) / run.elapsed.Seconds()
 }

@@ -12,7 +12,7 @@ import (
 // paper-scale runs live in the repository-level benchmarks and cmd/ tools.
 
 func TestFig5aRunner(t *testing.T) {
-	rows := Fig5aLatency(nil, []int{1, 1024}, 20)
+	rows := new(Harness).Fig5aLatency(nil, []int{1, 1024}, 20)
 	if len(rows) != 2 {
 		t.Fatalf("rows=%d", len(rows))
 	}
@@ -28,7 +28,7 @@ func TestFig5aRunner(t *testing.T) {
 }
 
 func TestFig5bRunner(t *testing.T) {
-	rows := Fig5bThroughput(nil, []int{8, 32}, 60)
+	rows := new(Harness).Fig5bThroughput(nil, []int{8, 32}, 60)
 	if len(rows) != 2 {
 		t.Fatalf("rows=%d", len(rows))
 	}
@@ -42,7 +42,7 @@ func TestFig5bRunner(t *testing.T) {
 }
 
 func TestFig1Runner(t *testing.T) {
-	rows := Fig1AllocRatio(nil, []int{16 << 10, 2 << 20}, 8)
+	rows := new(Harness).Fig1AllocRatio(nil, []int{16 << 10, 2 << 20}, 8)
 	if len(rows) != 2 {
 		t.Fatalf("rows=%d", len(rows))
 	}
@@ -56,7 +56,7 @@ func TestFig1Runner(t *testing.T) {
 
 func TestTable1AndFig3Runner(t *testing.T) {
 	var sb strings.Builder
-	res := Table1Profile(&sb, 1) // 1 GB sort on 9 nodes
+	res := new(Harness).Table1Profile(&sb, 1) // 1 GB sort on 9 nodes
 	if res.SortTime <= 0 {
 		t.Fatal("sort did not run")
 	}
@@ -82,7 +82,7 @@ func TestTable1AndFig3Runner(t *testing.T) {
 }
 
 func TestFig6aRunnerSmall(t *testing.T) {
-	points := Fig6aSort(nil, 4, []int{1})
+	points := new(Harness).Fig6aSort(nil, 4, []int{1})
 	if len(points) != 2 {
 		t.Fatalf("points=%d", len(points))
 	}
@@ -103,7 +103,7 @@ func TestFig6aRunnerSmall(t *testing.T) {
 }
 
 func TestFig7RunnerSmall(t *testing.T) {
-	points := Fig7HDFSWrite(nil, 8, []int{1})
+	points := new(Harness).Fig7HDFSWrite(nil, 8, []int{1})
 	if len(points) != 7 {
 		t.Fatalf("points=%d", len(points))
 	}
@@ -127,7 +127,7 @@ func TestFig7RunnerSmall(t *testing.T) {
 }
 
 func TestFig8RunnerSmall(t *testing.T) {
-	points := Fig8HBase(nil, ycsb.WorkloadMix, "50%Get-50%Put", []int{20_000}, 8_000)
+	points := new(Harness).Fig8HBase(nil, ycsb.WorkloadMix, "50%Get-50%Put", []int{20_000}, 8_000)
 	if len(points) != 5 {
 		t.Fatalf("points=%d", len(points))
 	}
@@ -144,7 +144,7 @@ func TestFig8RunnerSmall(t *testing.T) {
 }
 
 func TestAblationReadersScales(t *testing.T) {
-	rows := AblationReaders(nil, []int{1, 4}, 16, 80)
+	rows := new(Harness).AblationReaders(nil, []int{1, 4}, 16, 80)
 	if len(rows) != 2 {
 		t.Fatalf("rows=%d", len(rows))
 	}

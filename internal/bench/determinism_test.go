@@ -13,7 +13,7 @@ import (
 // EXPERIMENTS.md reproducible.
 func TestMacroDeterminism(t *testing.T) {
 	run := func() (time.Duration, time.Duration) {
-		hc := NewHadoopCluster(HadoopConfig{Slaves: 4, Seed: 42})
+		hc := new(Harness).NewHadoopCluster(HadoopConfig{Slaves: 4, Seed: 42})
 		var rw, sort time.Duration
 		hc.RunClient(2*time.Hour, func(e exec.Env) {
 			r, err := workloads.RandomWriter(e, hc.MR, 0, hc.Slaves, 1*GB, "/rw")
@@ -47,7 +47,7 @@ func TestMacroDeterminism(t *testing.T) {
 // TestTemporaryDirCleanedUp verifies the output committer removes
 // _temporary after job completion.
 func TestTemporaryDirCleanedUp(t *testing.T) {
-	hc := NewHadoopCluster(HadoopConfig{Slaves: 3, Seed: 7})
+	hc := new(Harness).NewHadoopCluster(HadoopConfig{Slaves: 3, Seed: 7})
 	hc.RunClient(time.Hour, func(e exec.Env) {
 		if _, err := workloads.RandomWriter(e, hc.MR, 0, hc.Slaves, 256<<20, "/rw"); err != nil {
 			t.Error(err)

@@ -19,29 +19,30 @@ func TestFiguresMatchResults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("regenerates results/rpcbench.txt and results/profile.txt (~25 s)")
 	}
+	var h Harness
 	figures := []struct {
 		file string
 		run  func(w io.Writer)
 	}{
 		{"rpcbench.txt", func(w io.Writer) {
 			const iters = 200
-			Fig5aLatency(w, nil, iters)
+			h.Fig5aLatency(w, nil, iters)
 			fmt.Fprintln(w)
-			Fig5bThroughput(w, nil, iters)
+			h.Fig5bThroughput(w, nil, iters)
 			fmt.Fprintln(w)
-			AblationRDMAThreshold(w, 64<<10, nil, iters)
+			h.AblationRDMAThreshold(w, 64<<10, nil, iters)
 			fmt.Fprintln(w)
-			AblationPoolPolicy(w, 512, iters)
+			h.AblationPoolPolicy(w, 512, iters)
 			fmt.Fprintln(w)
-			AblationReaders(w, nil, 32, iters)
+			h.AblationReaders(w, nil, 32, iters)
 			fmt.Fprintln(w)
 		}},
 		{"profile.txt", func(w io.Writer) {
-			res := Table1Profile(w, 4)
+			res := h.Table1Profile(w, 4)
 			fmt.Fprintln(w)
 			Fig3SizeLocality(w, res)
 			fmt.Fprintln(w)
-			Fig1AllocRatio(w, nil, 20)
+			h.Fig1AllocRatio(w, nil, 20)
 		}},
 	}
 	for _, fig := range figures {

@@ -18,7 +18,7 @@ func TestRegisterFlags(t *testing.T) {
 	}
 	for _, faults := range []bool{true, false} {
 		fs := flag.NewFlagSet("bench", flag.ContinueOnError)
-		f := RegisterFlags(fs, faults)
+		h := RegisterFlags(fs, faults)
 		n := 0
 		fs.VisitAll(func(fl *flag.Flag) {
 			n++
@@ -32,8 +32,8 @@ func TestRegisterFlags(t *testing.T) {
 		if err := fs.Parse([]string{"-metrics", "m.jsonl", "-trace-sample", "64"}); err != nil {
 			t.Fatal(err)
 		}
-		if f.metrics != "m.jsonl" || f.traceSample != 64 || f.trace != "" {
-			t.Errorf("parsed %+v", f)
+		if h.metricsPath != "m.jsonl" || h.traceSample != 64 || h.tracePath != "" {
+			t.Errorf("parsed %+v", h)
 		}
 	}
 }

@@ -47,7 +47,7 @@ type HBasePoint struct {
 // Fig8HBase reproduces Figure 8: YCSB over 16 region servers and 16 clients,
 // record counts 100K-300K x 1KB, with the given operation mix. opCount is
 // the total operation count (the paper: 640K).
-func Fig8HBase(w io.Writer, mix ycsb.Mix, mixName string, recordCounts []int, opCount int) []HBasePoint {
+func (h *Harness) Fig8HBase(w io.Writer, mix ycsb.Mix, mixName string, recordCounts []int, opCount int) []HBasePoint {
 	if len(recordCounts) == 0 {
 		recordCounts = []int{100_000, 150_000, 200_000, 250_000, 300_000}
 	}
@@ -61,7 +61,7 @@ func Fig8HBase(w io.Writer, mix ycsb.Mix, mixName string, recordCounts []int, op
 	for _, cfg := range Fig8Configs() {
 		Fprintf(w, "%-26s", cfg.Label)
 		for _, rc := range recordCounts {
-			kops := hbaseRunOnce(cfg, mix, rc, opCount)
+			kops := h.hbaseRunOnce(cfg, mix, rc, opCount)
 			points = append(points, HBasePoint{Config: cfg.Label, Records: rc, Kops: kops})
 			Fprintf(w, " %9.1f", kops)
 		}
@@ -70,11 +70,11 @@ func Fig8HBase(w io.Writer, mix ycsb.Mix, mixName string, recordCounts []int, op
 	return points
 }
 
-func hbaseRunOnce(cfg HBaseConfigName, mix ycsb.Mix, recordCount, opCount int) float64 {
+func (h *Harness) hbaseRunOnce(cfg HBaseConfigName, mix ycsb.Mix, recordCount, opCount int) float64 {
 	const servers, clients = 16, 16
 	// Nodes: 0 = NameNode + HMaster, 1..16 = DataNode + RegionServer,
 	// 17..32 = YCSB clients.
-	cl := newCluster(cluster.ClusterA(servers + clients + 1))
+	cl := h.newCluster(cluster.ClusterA(servers + clients + 1))
 	rsNodes := make([]int, 0, servers)
 	for i := 1; i <= servers; i++ {
 		rsNodes = append(rsNodes, i)
@@ -82,7 +82,7 @@ func hbaseRunOnce(cfg HBaseConfigName, mix ycsb.Mix, recordCount, opCount int) f
 	fs := hdfs.Deploy(cl, hdfs.Config{
 		NameNode: 0, DataNodes: rsNodes, Replication: 3,
 		RPCMode: cfg.RPCMode, RPCKind: cfg.RPCKind, DataKind: cfg.DataKind,
-		Metrics: benchReg, Trace: benchTrace,
+		Metrics: h.reg, Trace: h.tracer,
 	})
 	missRatio := 0.03
 	if mix.UpdateProportion > 0 && mix.ReadProportion > 0 {
@@ -92,7 +92,7 @@ func hbaseRunOnce(cfg HBaseConfigName, mix ycsb.Mix, recordCount, opCount int) f
 	hb := hbase.Deploy(cl, hbase.Config{
 		Master: 0, RegionServers: rsNodes,
 		HBaseRDMA: cfg.HBaseRDMA, HBaseKind: cfg.HBaseKind,
-		CacheMissRatio: missRatio, Metrics: benchReg, Trace: benchTrace,
+		CacheMissRatio: missRatio, Metrics: h.reg, Trace: h.tracer,
 	}, fs)
 	w := ycsb.Workload{RecordCount: recordCount, OpCount: opCount, RecordSize: 1024, Mix: mix, Zipfian: true}
 
@@ -116,8 +116,7 @@ func hbaseRunOnce(cfg HBaseConfigName, mix ycsb.Mix, recordCount, opCount int) f
 				loadDone = e.Now()
 				startQ.Close() // release everyone
 			} else {
-				se := cluster.SimEnvOf(e)
-				startQ.Get(se.Proc())
+				startQ.Get(cluster.ProcOf(e))
 			}
 			res, err := ycsb.Run(e, c, w, opCount/clients, rand.New(rand.NewSource(int64(1000+i))))
 			if err != nil {
@@ -136,6 +135,6 @@ func hbaseRunOnce(cfg HBaseConfigName, mix ycsb.Mix, recordCount, opCount int) f
 	if totalOps == 0 || finish <= loadDone {
 		panic("hbase run incomplete")
 	}
-	recordRun(fmt.Sprintf("fig8_hbase/config=%s/records=%d", cfg.Label, recordCount), end)
+	h.record(fmt.Sprintf("fig8_hbase/config=%s/records=%d", cfg.Label, recordCount), end)
 	return float64(totalOps) / (finish - loadDone).Seconds() / 1000
 }

@@ -44,7 +44,7 @@ type HDFSWritePoint struct {
 // Fig7HDFSWrite reproduces Figure 7: a single client writes files of 1-5 GB
 // into HDFS with 32 DataNodes and replication 3, across all seven
 // data-path x control-path configurations.
-func Fig7HDFSWrite(w io.Writer, dataNodes int, sizesGB []int) []HDFSWritePoint {
+func (h *Harness) Fig7HDFSWrite(w io.Writer, dataNodes int, sizesGB []int) []HDFSWritePoint {
 	if dataNodes <= 0 {
 		dataNodes = 32
 	}
@@ -61,7 +61,7 @@ func Fig7HDFSWrite(w io.Writer, dataNodes int, sizesGB []int) []HDFSWritePoint {
 	for _, cfg := range Fig7Configs() {
 		Fprintf(w, "%-26s", cfg.Label)
 		for _, gb := range sizesGB {
-			took := hdfsWriteOnce(cfg, dataNodes, int64(gb)*GB)
+			took := h.hdfsWriteOnce(cfg, dataNodes, int64(gb)*GB)
 			points = append(points, HDFSWritePoint{Config: cfg.Label, SizeGB: gb, Time: took})
 			Fprintf(w, " %9.1f", took.Seconds())
 		}
@@ -70,11 +70,11 @@ func Fig7HDFSWrite(w io.Writer, dataNodes int, sizesGB []int) []HDFSWritePoint {
 	return points
 }
 
-func hdfsWriteOnce(cfg HDFSConfigName, dataNodes int, size int64) time.Duration {
+func (h *Harness) hdfsWriteOnce(cfg HDFSConfigName, dataNodes int, size int64) time.Duration {
 	// Nodes: 0 NameNode, 1..N DataNodes, N+1 client (paper: NN and client on
 	// their own nodes).
 	cc := cluster.ClusterA(dataNodes + 2)
-	cl := newCluster(cc)
+	cl := h.newCluster(cc)
 	nodes := make([]int, 0, dataNodes)
 	for i := 1; i <= dataNodes; i++ {
 		nodes = append(nodes, i)
@@ -83,7 +83,7 @@ func hdfsWriteOnce(cfg HDFSConfigName, dataNodes int, size int64) time.Duration 
 		NameNode: 0, DataNodes: nodes, Replication: 3,
 		RPCMode: cfg.RPCMode, RPCKind: cfg.RPCKind,
 		DataRDMA: cfg.DataRDMA, DataKind: cfg.DataKind,
-		Metrics: benchReg, Trace: benchTrace,
+		Metrics: h.reg, Trace: h.tracer,
 	})
 	var took time.Duration
 	client := dataNodes + 1
@@ -98,6 +98,6 @@ func hdfsWriteOnce(cfg HDFSConfigName, dataNodes int, size int64) time.Duration 
 		fs.Stop()
 	})
 	end := cl.RunUntil(2 * time.Hour)
-	recordRun(fmt.Sprintf("fig7_hdfs_write/config=%s/gb=%d", cfg.Label, size/GB), end)
+	h.record(fmt.Sprintf("fig7_hdfs_write/config=%s/gb=%d", cfg.Label, size/GB), end)
 	return took
 }

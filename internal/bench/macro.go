@@ -22,7 +22,7 @@ type SortPoint struct {
 // Fig6aSort reproduces Figure 6(a): RandomWriter and Sort over the given
 // data sizes on a cluster of `slaves` worker nodes (the paper: 64), under
 // default Hadoop over IPoIB and under RPCoIB.
-func Fig6aSort(w io.Writer, slaves int, sizesGB []int) []SortPoint {
+func (h *Harness) Fig6aSort(w io.Writer, slaves int, sizesGB []int) []SortPoint {
 	if len(sizesGB) == 0 {
 		sizesGB = []int{32, 64, 128}
 	}
@@ -30,7 +30,7 @@ func Fig6aSort(w io.Writer, slaves int, sizesGB []int) []SortPoint {
 	Fprintf(w, "%8s %8s %14s %10s\n", "data GB", "mode", "RandomWriter", "Sort")
 	var points []SortPoint
 	run := func(gb int, mode core.Mode) SortPoint {
-		hc := NewHadoopCluster(HadoopConfig{Slaves: slaves, Mode: mode})
+		hc := h.NewHadoopCluster(HadoopConfig{Slaves: slaves, Mode: mode})
 		pt := SortPoint{DataGB: gb, Mode: mode.String()}
 		end := hc.RunClient(12*time.Hour, func(e exec.Env) {
 			rw, err := workloads.RandomWriter(e, hc.MR, 0, hc.Slaves, int64(gb)*GB, "/rw")
@@ -46,7 +46,7 @@ func Fig6aSort(w io.Writer, slaves int, sizesGB []int) []SortPoint {
 			hc.MR.Stop()
 			hc.FS.Stop()
 		})
-		recordRun(fmt.Sprintf("fig6a_sort/mode=%s/gb=%d", pt.Mode, gb), end)
+		h.record(fmt.Sprintf("fig6a_sort/mode=%s/gb=%d", pt.Mode, gb), end)
 		return pt
 	}
 	for _, gb := range sizesGB {
@@ -70,12 +70,12 @@ type CloudBurstPoint struct {
 
 // Fig6bCloudBurst reproduces Figure 6(b): the CloudBurst application
 // (Alignment 240/48, Filtering 24/24) on 9 nodes under IPoIB and RPCoIB.
-func Fig6bCloudBurst(w io.Writer) []CloudBurstPoint {
+func (h *Harness) Fig6bCloudBurst(w io.Writer) []CloudBurstPoint {
 	Fprintf(w, "Figure 6(b): CloudBurst job execution time (s), 9 nodes\n")
 	Fprintf(w, "%8s %10s %10s %8s\n", "mode", "Alignment", "Filtering", "Total")
 	var points []CloudBurstPoint
 	for _, mode := range []core.Mode{core.ModeBaseline, core.ModeRPCoIB} {
-		hc := NewHadoopCluster(HadoopConfig{Slaves: 8, Mode: mode})
+		hc := h.NewHadoopCluster(HadoopConfig{Slaves: 8, Mode: mode})
 		pt := CloudBurstPoint{Mode: mode.String()}
 		end := hc.RunClient(6*time.Hour, func(e exec.Env) {
 			if err := cloudburst.PrepareInput(e, hc.FS, 0); err != nil {
@@ -91,7 +91,7 @@ func Fig6bCloudBurst(w io.Writer) []CloudBurstPoint {
 			hc.MR.Stop()
 			hc.FS.Stop()
 		})
-		recordRun("fig6b_cloudburst/mode="+pt.Mode, end)
+		h.record("fig6b_cloudburst/mode="+pt.Mode, end)
 		points = append(points, pt)
 		Fprintf(w, "%8s %10.1f %10.1f %8.1f\n", pt.Mode,
 			pt.Alignment.Seconds(), pt.Filtering.Seconds(), pt.Total.Seconds())

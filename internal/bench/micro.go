@@ -5,11 +5,8 @@ import (
 	"io"
 	"time"
 
-	"rpcoib/internal/cluster"
 	"rpcoib/internal/core"
-	"rpcoib/internal/exec"
 	"rpcoib/internal/perfmodel"
-	"rpcoib/internal/wire"
 )
 
 // LatencyRow is one Figure 5(a) point.
@@ -20,38 +17,20 @@ type LatencyRow struct {
 	RPCoIB  time.Duration
 }
 
-// pingPongLatency measures the warm average round trip on Cluster B.
-func pingPongLatency(mode core.Mode, kind perfmodel.LinkKind, payload, iters int) time.Duration {
-	cl := newCluster(cluster.ClusterB())
-	startPingPongServer(cl, mode, kind, core.DefaultHandlers)
-	var avg time.Duration
-	cl.SpawnOn(1, "client", func(e exec.Env) {
-		e.Sleep(time.Millisecond)
-		client := core.NewClient(netFor(cl, mode, kind, 1),
-			core.Options{Mode: mode, Costs: cl.Costs, Metrics: benchReg, Trace: benchTrace})
-		param := &wire.BytesWritable{Value: make([]byte, payload)}
-		var reply wire.BytesWritable
-		for i := 0; i < 3; i++ { // warm-up: connection + pool history
-			if err := client.Call(e, "node0:9000", "bench.PingPongProtocol", "pingpong", param, &reply); err != nil {
-				panic(err)
-			}
-		}
-		start := e.Now()
-		for i := 0; i < iters; i++ {
-			if err := client.Call(e, "node0:9000", "bench.PingPongProtocol", "pingpong", param, &reply); err != nil {
-				panic(err)
-			}
-		}
-		avg = (e.Now() - start) / time.Duration(iters)
+// pingPongLatency measures the warm average round trip on Cluster B, after
+// three calls that set up the connection and the pool history.
+func (h *Harness) pingPongLatency(mode core.Mode, kind perfmodel.LinkKind, payload, iters int) time.Duration {
+	run := h.pingPong(pingPong{
+		name: fmt.Sprintf("pingpong_latency/mode=%s/kind=%s/payload=%d", mode, kind, payload),
+		mode: mode, kind: kind, payload: payload,
+		warmup: 3, calls: iters, horizon: time.Minute,
 	})
-	end := cl.RunUntil(time.Minute)
-	recordRun(fmt.Sprintf("pingpong_latency/mode=%s/kind=%s/payload=%d", mode, kind, payload), end)
-	return avg
+	return run.elapsed / time.Duration(iters)
 }
 
 // Fig5aLatency reproduces Figure 5(a): ping-pong latency for payloads from
 // 1 B to 4 KB under RPC-10GigE, RPC-IPoIB and RPCoIB.
-func Fig5aLatency(w io.Writer, payloads []int, iters int) []LatencyRow {
+func (h *Harness) Fig5aLatency(w io.Writer, payloads []int, iters int) []LatencyRow {
 	if len(payloads) == 0 {
 		payloads = []int{1, 4, 16, 64, 256, 1024, 4096}
 	}
@@ -61,9 +40,9 @@ func Fig5aLatency(w io.Writer, payloads []int, iters int) []LatencyRow {
 	for _, p := range payloads {
 		row := LatencyRow{
 			Payload: p,
-			TenGigE: pingPongLatency(core.ModeBaseline, perfmodel.TenGigE, p, iters),
-			IPoIB:   pingPongLatency(core.ModeBaseline, perfmodel.IPoIB, p, iters),
-			RPCoIB:  pingPongLatency(core.ModeRPCoIB, perfmodel.NativeIB, p, iters),
+			TenGigE: h.pingPongLatency(core.ModeBaseline, perfmodel.TenGigE, p, iters),
+			IPoIB:   h.pingPongLatency(core.ModeBaseline, perfmodel.IPoIB, p, iters),
+			RPCoIB:  h.pingPongLatency(core.ModeRPCoIB, perfmodel.NativeIB, p, iters),
 		}
 		rows = append(rows, row)
 		Fprintf(w, "%8d %12.1f %12.1f %12.1f %9.0f%% %9.0f%%\n", p,
@@ -86,41 +65,18 @@ type ThroughputRow struct {
 
 // throughput measures aggregate ops/sec: 512-byte payloads, 8 handlers,
 // clients spread over 8 nodes, as in the paper.
-func throughput(mode core.Mode, kind perfmodel.LinkKind, clients, callsPerClient int) float64 {
-	cl := newCluster(cluster.ClusterB())
-	startPingPongServer(cl, mode, kind, 8)
-	done := 0
-	var finish time.Duration
-	for i := 0; i < clients; i++ {
-		node := 1 + i%8
-		cl.SpawnOn(node, fmt.Sprintf("client%d", i), func(e exec.Env) {
-			e.Sleep(time.Millisecond)
-			client := core.NewClient(netFor(cl, mode, kind, node),
-				core.Options{Mode: mode, Costs: cl.Costs, Metrics: benchReg, Trace: benchTrace})
-			param := &wire.BytesWritable{Value: make([]byte, 512)}
-			var reply wire.BytesWritable
-			for j := 0; j < callsPerClient; j++ {
-				if err := client.Call(e, "node0:9000", "bench.PingPongProtocol", "pingpong", param, &reply); err != nil {
-					panic(err)
-				}
-				done++
-			}
-			if e.Now() > finish {
-				finish = e.Now()
-			}
-		})
-	}
-	end := cl.RunUntil(10 * time.Minute)
-	if done != clients*callsPerClient || finish <= time.Millisecond {
-		panic(fmt.Sprintf("throughput run incomplete: %d/%d", done, clients*callsPerClient))
-	}
-	recordRun(fmt.Sprintf("rpc_throughput/mode=%s/kind=%s/clients=%d", mode, kind, clients), end)
-	return float64(done) / (finish - time.Millisecond).Seconds()
+func (h *Harness) throughput(mode core.Mode, kind perfmodel.LinkKind, clients, callsPerClient int) float64 {
+	run := h.pingPong(pingPong{
+		name: fmt.Sprintf("rpc_throughput/mode=%s/kind=%s/clients=%d", mode, kind, clients),
+		mode: mode, kind: kind, handlers: 8, payload: 512,
+		clients: clients, calls: callsPerClient, horizon: 10 * time.Minute,
+	})
+	return float64(clients*callsPerClient) / run.elapsed.Seconds()
 }
 
 // Fig5bThroughput reproduces Figure 5(b): aggregate throughput vs number of
 // concurrent clients.
-func Fig5bThroughput(w io.Writer, clientCounts []int, callsPerClient int) []ThroughputRow {
+func (h *Harness) Fig5bThroughput(w io.Writer, clientCounts []int, callsPerClient int) []ThroughputRow {
 	if len(clientCounts) == 0 {
 		clientCounts = []int{8, 16, 24, 32, 40, 48, 56, 64}
 	}
@@ -130,9 +86,9 @@ func Fig5bThroughput(w io.Writer, clientCounts []int, callsPerClient int) []Thro
 	for _, n := range clientCounts {
 		row := ThroughputRow{
 			Clients: n,
-			TenGigE: throughput(core.ModeBaseline, perfmodel.TenGigE, n, callsPerClient) / 1000,
-			IPoIB:   throughput(core.ModeBaseline, perfmodel.IPoIB, n, callsPerClient) / 1000,
-			RPCoIB:  throughput(core.ModeRPCoIB, perfmodel.NativeIB, n, callsPerClient) / 1000,
+			TenGigE: h.throughput(core.ModeBaseline, perfmodel.TenGigE, n, callsPerClient) / 1000,
+			IPoIB:   h.throughput(core.ModeBaseline, perfmodel.IPoIB, n, callsPerClient) / 1000,
+			RPCoIB:  h.throughput(core.ModeRPCoIB, perfmodel.NativeIB, n, callsPerClient) / 1000,
 		}
 		rows = append(rows, row)
 		Fprintf(w, "%8d %12.1f %12.1f %12.1f %9.0f%% %9.0f%%\n", n,
@@ -151,31 +107,20 @@ type AllocRatioRow struct {
 }
 
 // Fig1AllocRatio reproduces Figure 1 with the default Hadoop RPC design.
-func Fig1AllocRatio(w io.Writer, payloads []int, iters int) []AllocRatioRow {
+func (h *Harness) Fig1AllocRatio(w io.Writer, payloads []int, iters int) []AllocRatioRow {
 	if len(payloads) == 0 {
 		payloads = []int{4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 2 << 20, 4 << 20}
 	}
 	Fprintf(w, "Figure 1: buffer allocation time / call receive time (default RPC)\n")
 	Fprintf(w, "%10s %10s %10s\n", "payload", "1GigE", "IPoIB")
 	measure := func(kind perfmodel.LinkKind, payload int) float64 {
-		return core.AllocRatio(observed(func() time.Duration {
-			cl := newCluster(cluster.ClusterB())
-			startPingPongServer(cl, core.ModeBaseline, kind, core.DefaultHandlers)
-			cl.SpawnOn(1, "client", func(e exec.Env) {
-				e.Sleep(time.Millisecond)
-				client := core.NewClient(netFor(cl, core.ModeBaseline, kind, 1),
-					core.Options{Mode: core.ModeBaseline, Costs: cl.Costs, Metrics: benchReg, Trace: benchTrace})
-				param := &wire.BytesWritable{Value: make([]byte, payload)}
-				var reply wire.BytesWritable
-				for i := 0; i < iters; i++ {
-					if err := client.Call(e, "node0:9000", "bench.PingPongProtocol", "pingpong", param, &reply); err != nil {
-						panic(err)
-					}
-				}
+		return core.AllocRatio(h.observed(func(h *Harness) time.Duration {
+			run := h.pingPong(pingPong{
+				name: fmt.Sprintf("fig1_alloc_ratio/kind=%s/payload=%d", kind, payload),
+				mode: core.ModeBaseline, kind: kind, payload: payload,
+				calls: iters, horizon: 10 * time.Minute,
 			})
-			end := cl.RunUntil(10 * time.Minute)
-			recordRun(fmt.Sprintf("fig1_alloc_ratio/kind=%s/payload=%d", kind, payload), end)
-			return end
+			return run.end
 		}))
 	}
 	rows := make([]AllocRatioRow, 0, len(payloads))

@@ -25,10 +25,10 @@ type Table1Result struct {
 // Table1Profile reproduces Table I's setting: a Sort job of dataGB on 9
 // nodes (1 master + 8 slaves) with the default (socket) Hadoop RPC, RPC
 // invocation profiling enabled.
-func Table1Profile(w io.Writer, dataGB int) *Table1Result {
+func (h *Harness) Table1Profile(w io.Writer, dataGB int) *Table1Result {
 	res := &Table1Result{}
-	res.Profile = observed(func() time.Duration {
-		hc := NewHadoopCluster(HadoopConfig{Slaves: 8})
+	res.Profile = h.observed(func(h *Harness) time.Duration {
+		hc := h.NewHadoopCluster(HadoopConfig{Slaves: 8})
 		end := hc.RunClient(6*time.Hour, func(e exec.Env) {
 			if _, err := workloads.RandomWriter(e, hc.MR, 0, hc.Slaves, int64(dataGB)*GB, "/rw"); err != nil {
 				panic(err)
@@ -41,7 +41,7 @@ func Table1Profile(w io.Writer, dataGB int) *Table1Result {
 			hc.MR.Stop()
 			hc.FS.Stop()
 		})
-		recordRun(fmt.Sprintf("table1_profile/gb=%d", dataGB), end)
+		h.record(fmt.Sprintf("table1_profile/gb=%d", dataGB), end)
 		return end
 	})
 	if w != nil {

@@ -366,26 +366,12 @@ func (e *SimEnv) Rand() *rand.Rand { return e.c.Sim.Rand() }
 // simQueue adapts sim.Queue to exec.Queue by unwrapping the caller's env.
 type simQueue struct{ q *sim.Queue }
 
-// SimEnvOf recovers the concrete SimEnv beneath e, unwrapping decorator envs
-// (deadline- or trace-carrying wrappers) via their BaseEnv method. It panics
-// when e does not bottom out at a SimEnv: simulator resources (queues, disks)
-// can only be used from simulated processes.
-func SimEnvOf(e exec.Env) *SimEnv {
-	for {
-		switch v := e.(type) {
-		case *SimEnv:
-			return v
-		case interface{ BaseEnv() exec.Env }:
-			e = v.BaseEnv()
-		default:
-			panic("cluster: exec.Env is not a SimEnv; queues must be used from simulated processes")
-		}
-	}
-}
-
-// procOf recovers the sim process beneath any simulator-backed env (SimEnv or
-// the sharded ShardEnv), unwrapping decorators via BaseEnv.
-func procOf(e exec.Env) *sim.Proc {
+// ProcOf recovers the sim process beneath any simulator-backed env (SimEnv or
+// the sharded ShardEnv), unwrapping decorator envs (deadline- or
+// trace-carrying wrappers) via their BaseEnv method. It panics when e does not
+// bottom out at one: simulator resources (queues, disks) can only be used
+// from simulated processes.
+func ProcOf(e exec.Env) *sim.Proc {
 	for {
 		switch v := e.(type) {
 		case interface{ Proc() *sim.Proc }:
@@ -398,11 +384,11 @@ func procOf(e exec.Env) *sim.Proc {
 	}
 }
 
-func (s simQueue) Put(e exec.Env, v any) bool { return s.q.Put(procOf(e), v) }
+func (s simQueue) Put(e exec.Env, v any) bool { return s.q.Put(ProcOf(e), v) }
 func (s simQueue) TryPut(v any) bool          { return s.q.TryPut(v) }
-func (s simQueue) Get(e exec.Env) (any, bool) { return s.q.Get(procOf(e)) }
+func (s simQueue) Get(e exec.Env) (any, bool) { return s.q.Get(ProcOf(e)) }
 func (s simQueue) TryGet() (any, bool)        { return s.q.TryGet() }
 func (s simQueue) GetTimeout(e exec.Env, d time.Duration) (any, bool, bool) {
-	return s.q.GetTimeout(procOf(e), d)
+	return s.q.GetTimeout(ProcOf(e), d)
 }
 func (s simQueue) Close() { s.q.Close() }

@@ -53,7 +53,7 @@ func (n *sockNet) Listen(_ exec.Env, port int) (transport.Listener, error) {
 }
 
 func (n *sockNet) Dial(e exec.Env, addr string) (transport.Conn, error) {
-	conn, err := n.fabric.Dial(procOf(e), n.node, addr)
+	conn, err := n.fabric.Dial(ProcOf(e), n.node, addr)
 	if err != nil {
 		return nil, err
 	}
@@ -63,7 +63,7 @@ func (n *sockNet) Dial(e exec.Env, addr string) (transport.Conn, error) {
 type sockListener struct{ l *netsim.Listener }
 
 func (l *sockListener) Accept(e exec.Env) (transport.Conn, error) {
-	conn, err := l.l.Accept(procOf(e))
+	conn, err := l.l.Accept(ProcOf(e))
 	if err != nil {
 		return nil, err
 	}
@@ -85,11 +85,11 @@ func (c *sockConn) Send(e exec.Env, data []byte) error {
 }
 
 func (c *sockConn) SendSized(e exec.Env, data []byte, size int) error {
-	return c.c.SendSized(procOf(e), append([]byte(nil), data...), size)
+	return c.c.SendSized(ProcOf(e), append([]byte(nil), data...), size)
 }
 
 func (c *sockConn) Recv(e exec.Env) ([]byte, func(), error) {
-	data, err := c.c.Recv(procOf(e))
+	data, err := c.c.Recv(ProcOf(e))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -190,7 +190,7 @@ func (n *ibNet) Listen(e exec.Env, port int) (transport.Listener, error) {
 // The circuit breaker in internal/core uses it to keep calls flowing while
 // the verbs path is down. Implements transport.FallbackDialer.
 func (n *ibNet) DialFallback(e exec.Env, addr string) (transport.Conn, error) {
-	p := procOf(e)
+	p := ProcOf(e)
 	sc, err := n.c.fabrics[perfmodel.IPoIB].Dial(p, n.node, addr)
 	if err != nil {
 		return nil, err
@@ -215,7 +215,7 @@ var _ transport.FallbackDialer = (*ibNet)(nil)
 // attribution.
 func (n *ibNet) DialRail(e exec.Env, addr string, rail int) (transport.Conn, error) {
 	n.c.IBRailFabric(rail) // bounds check
-	p := procOf(e)
+	p := ProcOf(e)
 	sc, err := n.c.fabrics[perfmodel.IPoIB].Dial(p, n.node, addr)
 	if err != nil {
 		return nil, err
@@ -306,7 +306,7 @@ type ibListener struct {
 // so a slow or dead client cannot block other accepts.
 func (l *ibListener) bootstrapLoop(e exec.Env) {
 	for {
-		sc, err := l.sockLn.Accept(procOf(e))
+		sc, err := l.sockLn.Accept(ProcOf(e))
 		if err != nil {
 			return
 		}
@@ -317,7 +317,7 @@ func (l *ibListener) bootstrapLoop(e exec.Env) {
 }
 
 func (l *ibListener) handshake(e exec.Env, sc *netsim.SocketConn) {
-	p := procOf(e)
+	p := ProcOf(e)
 	hello, err := sc.Recv(p)
 	if err != nil {
 		sc.Close()
@@ -341,7 +341,7 @@ func (l *ibListener) handshake(e exec.Env, sc *netsim.SocketConn) {
 }
 
 func (l *ibListener) ibAcceptLoop(e exec.Env, rail int) {
-	p := procOf(e)
+	p := ProcOf(e)
 	ibLn := l.ibLns[rail]
 	muxLn := l.muxLns[rail]
 	for {
@@ -395,7 +395,7 @@ var _ transport.SizedSender = (*ibConn)(nil)
 func (c *ibConn) SendSized(e exec.Env, data []byte, size int) error {
 	b := c.dev.RecvPool().Get(len(data))
 	copy(b.Data, data)
-	err := c.ep.SendSized(procOf(e), b, len(data), size)
+	err := c.ep.SendSized(ProcOf(e), b, len(data), size)
 	c.dev.RecvPool().Put(b)
 	return err
 }
@@ -404,7 +404,7 @@ func (c *ibConn) SendSized(e exec.Env, data []byte, size int) error {
 // releases it.
 func (c *ibConn) SendPooled(e exec.Env, m transport.Pooled) error {
 	b, n := m.Buffer()
-	err := c.ep.SendSized(procOf(e), b, n, n)
+	err := c.ep.SendSized(ProcOf(e), b, n, n)
 	m.Release()
 	return err
 }
@@ -418,7 +418,7 @@ func (c *ibConn) Send(e exec.Env, data []byte) error {
 }
 
 func (c *ibConn) Recv(e exec.Env) ([]byte, func(), error) {
-	return c.ep.Recv(procOf(e))
+	return c.ep.Recv(ProcOf(e))
 }
 
 func (c *ibConn) WireTime(n int) time.Duration { return c.ep.WireTime(n) }

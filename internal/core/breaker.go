@@ -129,7 +129,7 @@ func (c *Client) breaker(addr string) *breaker {
 	defer c.mu.Unlock()
 	b := c.breakers[addr]
 	if b == nil {
-		b = newBreaker(c.opts.BreakerThreshold, c.opts.BreakerCooldown, &c.m)
+		b = newBreaker(DefaultBreakerThreshold, DefaultBreakerCooldown, &c.m)
 		if c.breakers == nil {
 			c.breakers = map[string]*breaker{}
 		}

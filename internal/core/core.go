@@ -71,7 +71,7 @@ const defaultCallQueueDepth = 100
 const DefaultBusyBackoff = 100 * time.Millisecond
 
 // DefaultBreakerThreshold is how many consecutive primary-path failures trip
-// the transport circuit breaker when Options.BreakerThreshold is unset.
+// the transport circuit breaker of a client with Options.Failover set.
 const DefaultBreakerThreshold = 3
 
 // DefaultBreakerCooldown is how long a tripped breaker waits before letting
@@ -148,12 +148,6 @@ type Options struct {
 	// until half-open probes find the primary healthy again. Ignored when
 	// the network has no fallback.
 	Failover bool
-	// BreakerThreshold is the consecutive-failure trip count
-	// (DefaultBreakerThreshold if 0).
-	BreakerThreshold int
-	// BreakerCooldown is the open-state dwell before a half-open probe
-	// (DefaultBreakerCooldown if 0).
-	BreakerCooldown time.Duration
 }
 
 func (o Options) withDefaults() Options {
@@ -174,12 +168,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.BusyBackoff <= 0 {
 		o.BusyBackoff = DefaultBusyBackoff
-	}
-	if o.BreakerThreshold <= 0 {
-		o.BreakerThreshold = DefaultBreakerThreshold
-	}
-	if o.BreakerCooldown <= 0 {
-		o.BreakerCooldown = DefaultBreakerCooldown
 	}
 	return o
 }

@@ -216,7 +216,7 @@ func (c *Client) railSet(addr string) *railSet {
 		if c.railSets == nil {
 			c.railSets = map[string]*railSet{}
 		}
-		rs = newRailSet(rd.Rails(), rd.PreferredRail(addr), c.opts.BreakerCooldown, &c.m)
+		rs = newRailSet(rd.Rails(), rd.PreferredRail(addr), DefaultBreakerCooldown, &c.m)
 		c.railSets[addr] = rs
 	}
 	return rs

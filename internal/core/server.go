@@ -493,8 +493,8 @@ type handlerEnv struct {
 // (tracing.ContextOf reads it through the interface).
 func (he handlerEnv) TraceContext() tracing.SpanContext { return he.sc }
 
-// BaseEnv exposes the wrapped Env so simulator glue (cluster.SimEnvOf) can
-// recover the concrete SimEnv beneath decorator envs.
+// BaseEnv exposes the wrapped Env so simulator glue (cluster.ProcOf) can
+// recover the sim process beneath decorator envs.
 func (he handlerEnv) BaseEnv() exec.Env { return he.Env }
 
 // RemainingBudget reports how much of the propagated call deadline is left

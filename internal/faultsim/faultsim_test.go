@@ -53,6 +53,13 @@ func TestFaultPlanRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(*loaded, plan) {
 		t.Errorf("round trip changed the plan:\n got %+v\nwant %+v", *loaded, plan)
 	}
+	// The loader validates: a figure binary's -faults flag relies on it.
+	if err := os.WriteFile(path, []byte(`{"profile":{"drop_rate":2}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := faultsim.LoadPlan(path); err == nil {
+		t.Error("LoadPlan accepted drop_rate 2")
+	}
 
 	bad := []faultsim.Plan{
 		{Events: []faultsim.Event{{AtMS: -1, Kind: faultsim.KindLinkDown, Peer: 1}}},

@@ -288,8 +288,8 @@ func (rs *RegionServer) maybeCacheMiss(e exec.Env) error {
 	if _, err := dfs.Locate(e, path); err != nil {
 		return err
 	}
-	se := cluster.SimEnvOf(e)
-	rs.h.c.Node(rs.node).Disk.Read(se.Proc(), blockReadKB<<10)
+	proc := cluster.ProcOf(e)
+	rs.h.c.Node(rs.node).Disk.Read(proc, blockReadKB<<10)
 	return nil
 }
 
@@ -309,8 +309,8 @@ func (rs *RegionServer) applyPuts(e exec.Env, count, bytes int64) {
 	rs.Puts += count
 	e.Work(walSyncCPU + time.Duration(count)*putCPU)
 	// WAL group commit: one sequential append per batch.
-	se := cluster.SimEnvOf(e)
-	rs.h.c.Node(rs.node).Disk.WriteStream(se.Proc(), int64(rs.index)+1<<50, bytes)
+	proc := cluster.ProcOf(e)
+	rs.h.c.Node(rs.node).Disk.WriteStream(proc, int64(rs.index)+1<<50, bytes)
 	rs.memstoreBytes += bytes
 	rs.records += count
 	rs.maybeFlush(e)
@@ -336,8 +336,8 @@ func (rs *RegionServer) maybeFlush(e exec.Env) {
 func (rs *RegionServer) flush(e exec.Env, n int, size int64) {
 	rs.Flushes++
 	if rs.h.dfs == nil {
-		se := cluster.SimEnvOf(e)
-		rs.h.c.Node(rs.node).Disk.WriteStream(se.Proc(), int64(rs.index)+2<<50, size)
+		proc := cluster.ProcOf(e)
+		rs.h.c.Node(rs.node).Disk.WriteStream(proc, int64(rs.index)+2<<50, size)
 		rs.flushing = false
 		return
 	}

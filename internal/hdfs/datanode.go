@@ -107,7 +107,7 @@ func (dn *DataNode) replicateBlock(e exec.Env, blockID int64, target string) {
 	} else {
 		rel()
 	}
-	se := cluster.SimEnvOf(e)
+	proc := cluster.ProcOf(e)
 	disk := dn.h.c.Node(dn.node).Disk
 	packet := int64(dn.h.cfg.PacketSize)
 	rdma := dn.h.cfg.DataRDMA
@@ -117,7 +117,7 @@ func (dn *DataNode) replicateBlock(e exec.Env, blockID int64, target string) {
 		if off+n > length {
 			n = length - off
 		}
-		disk.ReadStream(se.Proc(), blockID, n)
+		disk.ReadStream(proc, blockID, n)
 		e.Work(packetCPU(rdma, int(n)))
 		hdr := packetHeader(seq, int32(n), off+n >= length)
 		if err := transport.SendSized(e, conn, hdr, len(hdr)+int(n)); err != nil {
@@ -280,10 +280,10 @@ func (dn *DataNode) receiveBlock(e exec.Env, upstream transport.Conn, blockID in
 	// disk. The dirty-bytes budget provides kernel-writeback backpressure
 	// when sustained ingest outruns the spindle.
 	diskQ := e.NewQueue(0)
-	se := cluster.SimEnvOf(e)
+	proc := cluster.ProcOf(e)
 	node := dn.h.c.Node(dn.node)
 	e.Spawn("dn-flusher", func(de exec.Env) {
-		dse := cluster.SimEnvOf(de)
+		dproc := cluster.ProcOf(de)
 		for {
 			v, ok := diskQ.Get(de)
 			if !ok {
@@ -300,7 +300,7 @@ func (dn *DataNode) receiveBlock(e exec.Env, upstream transport.Conn, blockID in
 				}
 				n += v2.(int64)
 			}
-			node.Disk.WriteStream(dse.Proc(), blockID, n)
+			node.Disk.WriteStream(dproc, blockID, n)
 			dn.dirty.Release(n)
 		}
 	})
@@ -336,7 +336,7 @@ func (dn *DataNode) receiveBlock(e exec.Env, upstream transport.Conn, blockID in
 		}
 		length += int64(dataLen)
 		if dataLen > 0 {
-			dn.dirty.Acquire(se.Proc(), int64(dataLen))
+			dn.dirty.Acquire(proc, int64(dataLen))
 			diskQ.Put(e, int64(dataLen))
 		}
 		if last {
@@ -369,7 +369,7 @@ func (dn *DataNode) sendBlock(e exec.Env, conn transport.Conn, blockID int64) er
 	if err := conn.Send(e, []byte{1}); err != nil {
 		return err
 	}
-	se := cluster.SimEnvOf(e)
+	proc := cluster.ProcOf(e)
 	disk := dn.h.c.Node(dn.node).Disk
 	packet := int64(dn.h.cfg.PacketSize)
 	rdma := dn.h.cfg.DataRDMA
@@ -379,7 +379,7 @@ func (dn *DataNode) sendBlock(e exec.Env, conn transport.Conn, blockID int64) er
 		if off+n > length {
 			n = length - off
 		}
-		disk.ReadStream(se.Proc(), blockID, n)
+		disk.ReadStream(proc, blockID, n)
 		e.Work(packetCPU(rdma, int(n)))
 		last := off+n >= length
 		hdr := packetHeader(seq, int32(n), last)

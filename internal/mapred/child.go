@@ -77,7 +77,7 @@ func (c *childTask) run(e exec.Env) {
 // map function cost, spills the partitioned output to local disk, and
 // registers it with the tracker.
 func (c *childTask) runMap(e exec.Env) {
-	se := cluster.SimEnvOf(e)
+	proc := cluster.ProcOf(e)
 	disk := c.tt.mr.c.Node(c.tt.node).Disk
 	mr := c.tt.mr
 
@@ -98,7 +98,7 @@ func (c *childTask) runMap(e exec.Env) {
 		inputBytes = n
 	} else {
 		inputBytes = c.spec.InputBytes
-		disk.ReadStream(se.Proc(), streamID(c.spec.Task, 1), inputBytes)
+		disk.ReadStream(proc, streamID(c.spec.Task, 1), inputBytes)
 	}
 
 	mapCPUPerMB := time.Duration(c.conf.MapCPUPerMBNs)
@@ -115,7 +115,7 @@ func (c *childTask) runMap(e exec.Env) {
 		processed += chunk
 		if c.spec.NumReduces > 0 {
 			// Spill the chunk's share of map output locally.
-			disk.WriteStream(se.Proc(), streamID(c.spec.Task, 2), int64(float64(chunk)*outRatio))
+			disk.WriteStream(proc, streamID(c.spec.Task, 2), int64(float64(chunk)*outRatio))
 		}
 		progress := 1.0
 		if inputBytes > 0 {
@@ -148,7 +148,7 @@ func (c *childTask) runMap(e exec.Env) {
 // runReduce shuffles map segments as completion events arrive, merges, runs
 // the reduce function, writes the HDFS output and commits.
 func (c *childTask) runReduce(e exec.Env) {
-	se := cluster.SimEnvOf(e)
+	proc := cluster.ProcOf(e)
 	disk := c.tt.mr.c.Node(c.tt.node).Disk
 	mr := c.tt.mr
 
@@ -199,7 +199,7 @@ func (c *childTask) runReduce(e exec.Env) {
 				c.fail(e, err.Error())
 				return
 			}
-			disk.WriteStream(se.Proc(), streamID(c.spec.Task, 3), n)
+			disk.WriteStream(proc, streamID(c.spec.Task, 3), n)
 			shuffled += n
 			fetched += len(idxs)
 		}
@@ -207,8 +207,8 @@ func (c *childTask) runReduce(e exec.Env) {
 	}
 
 	// Merge pass: read all segments, write one sorted run.
-	disk.ReadStream(se.Proc(), streamID(c.spec.Task, 3), shuffled)
-	disk.WriteStream(se.Proc(), streamID(c.spec.Task, 4), shuffled)
+	disk.ReadStream(proc, streamID(c.spec.Task, 3), shuffled)
+	disk.WriteStream(proc, streamID(c.spec.Task, 4), shuffled)
 	c.reportStatus(e, c.status(0.66, 2))
 
 	// Reduce function over the merged run.
@@ -218,7 +218,7 @@ func (c *childTask) runReduce(e exec.Env) {
 		if processed+chunk > shuffled {
 			chunk = shuffled - processed
 		}
-		disk.ReadStream(se.Proc(), streamID(c.spec.Task, 4), chunk)
+		disk.ReadStream(proc, streamID(c.spec.Task, 4), chunk)
 		e.Work(reduceCPUPerMB * time.Duration(chunk>>20))
 		processed += chunk
 		c.reportStatus(e, c.status(0.66+float64(processed)/float64(shuffled)/3, 3))

@@ -261,7 +261,7 @@ func (tt *TaskTracker) serveShuffle(e exec.Env, ln transport.Listener) {
 
 func (tt *TaskTracker) handleShuffleConn(e exec.Env, conn transport.Conn) {
 	defer conn.Close()
-	se := cluster.SimEnvOf(e)
+	proc := cluster.ProcOf(e)
 	disk := tt.mr.c.Node(tt.node).Disk
 	for {
 		data, release, err := conn.Recv(e)
@@ -286,7 +286,7 @@ func (tt *TaskTracker) handleShuffleConn(e exec.Env, conn transport.Conn) {
 			if parts, ok := tt.mapOutputs[id]; ok && int(reduce) < len(parts) {
 				size = parts[reduce]
 			}
-			disk.ReadStream(se.Proc(), int64(job)<<32|int64(mi)+1, size)
+			disk.ReadStream(proc, int64(job)<<32|int64(mi)+1, size)
 			hdr := shuffleSegmentHeader(mi, size)
 			if err := transport.SendSized(e, conn, hdr, len(hdr)+int(size)); err != nil {
 				return

@@ -349,8 +349,8 @@ type spanEnv struct {
 // TraceContext exposes the ambient span.
 func (e spanEnv) TraceContext() SpanContext { return e.sc }
 
-// BaseEnv exposes the wrapped Env so simulator glue (cluster.SimEnvOf) can
-// recover the concrete SimEnv beneath decorator envs.
+// BaseEnv exposes the wrapped Env so simulator glue (cluster.ProcOf) can
+// recover the sim process beneath decorator envs.
 func (e spanEnv) BaseEnv() exec.Env { return e.Env }
 
 // WithSpan returns e carrying sc as the ambient span context.

@@ -7,8 +7,14 @@
 #
 # Both trees are exported into separate directories under a temporary one and
 # built there, so neither run sees the other's binary or out/.
-# Every workload runs short (--runs 3 --seconds 2). The -check table goes to
-# stdout and, in CI, into the job summary. The gate fails only on:
+# Every workload runs short: three untraced runs (seeds 1-3) and one traced
+# run (seed 1) of two seconds on each side. The two sides run alternately, one
+# child run of the benchmark binary at a time, and which side goes first
+# switches from pair to pair, so drift in the machine's load over the ten
+# minutes reaches both sides alike instead of reading as a change. Each side's
+# runs are assembled (jq) into the result file `benchmark -check` reads. The
+# -check table goes to stdout and, in CI, into the job summary. The gate fails
+# only on:
 #   - a "worse" allocs_per_call or bytes_per_call row (counts repeat to 0.1 %);
 #   - a perfmodel.* value that moved (simulated results are exact);
 #   - a failed operation on either side.
@@ -38,16 +44,64 @@ done | tar -c --null -T - | tar -x -C "$tmp/head"
 
 export GOFLAGS=-buildvcs=false
 for side in base head; do
-	echo "bench-gate: $side ($([ $side = base ] && echo "$base" || echo checkout))" >&2
-	(
-		cd "$tmp/$side"
-		go build -C benchmark -o "$tmp/$side/bench" .
-		"$tmp/$side/bench" --runs 3 --seconds 2 --out "$tmp/$side/out" >"$tmp/$side/run.log" 2>&1
-	) || { cat "$tmp/$side/run.log" >&2; echo "bench-gate: the $side run failed" >&2; exit 1; }
+	go build -C "$tmp/$side/benchmark" -o "$tmp/$side/bench" . ||
+		{ echo "bench-gate: the $side build failed" >&2; exit 1; }
+done
+
+runs=3 seconds=2
+# child SIDE WORKLOAD SEED TRACE runs the benchmark once on one side and
+# appends its result line, tagged with the workload and trace flag, to the
+# side's runs.jsonl.
+child() {
+	local side=$1 w=$2 seed=$3 trace=$4
+	(cd "$tmp/$side" && ./bench --workload "$w" --seed "$seed" --seconds "$seconds" \
+		--trace "$trace" --out "$tmp/$side/out") >"$tmp/$side/child.out" 2>"$tmp/$side/child.err" || {
+		cat "$tmp/$side/child.err" >&2
+		echo "bench-gate: the $side run of $w (seed $seed, trace $trace) failed" >&2
+		exit 1
+	}
+	tail -n 1 "$tmp/$side/child.out" |
+		jq -c --arg w "$w" --argjson trace "$trace" '{workload: $w, trace: $trace} + .' >>"$tmp/$side/runs.jsonl"
+}
+
+echo "bench-gate: base $base against the checkout, alternating" >&2
+pair=0
+for w in $("$tmp/head/bench" -print-spec | jq -r '.workloads[].name'); do
+	echo "bench-gate: $w" >&2
+	for run in $(seq "$runs") traced; do
+		seed=$run trace=0
+		if [ "$run" = traced ]; then
+			seed=1 trace=1
+		fi
+		order="base head"
+		if [ $((pair % 2)) = 1 ]; then
+			order="head base"
+		fi
+		for side in $order; do
+			child "$side" "$w" "$seed" "$trace"
+		done
+		pair=$((pair + 1))
+	done
+done
+
+# One side's runs in the shape `benchmark -check` reads (its out/result.json):
+# per workload, the untraced runs' end-to-end values in seed order, the traced
+# run's per-layer values, and operation counts summed over every run.
+for side in base head; do
+	jq -s --argjson seconds "$seconds" --argjson runs "$runs" '{
+		seconds: $seconds, runs: $runs,
+		workloads: (group_by(.workload) | map({key: .[0].workload, value: {
+			attempted: (map(.attempted) | add),
+			failed: (map(.failed) | add),
+			end_to_end: ([.[] | select(.trace == 0) | .metrics | to_entries[]]
+				| group_by(.key) | map({key: .[0].key, value: map(.value.value)}) | from_entries),
+			per_layer: ([.[] | select(.trace == 1) | .metrics | map_values(.value)] | add)
+		}}) | from_entries)
+	}' "$tmp/$side/runs.jsonl" >"$tmp/$side/result.json"
 done
 
 table=$tmp/check.txt
-"$tmp/head/bench" -check "$tmp/base/out/result.json" "$tmp/head/out/result.json" >"$table" || true
+"$tmp/head/bench" -check "$tmp/base/result.json" "$tmp/head/result.json" >"$table" || true
 cat "$table"
 if [ -n "${GITHUB_STEP_SUMMARY:-}" ]; then
 	{
