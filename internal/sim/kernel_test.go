@@ -6,10 +6,12 @@ import (
 	"encoding/hex"
 	"fmt"
 	"hash"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // orderLog folds every (now, proc id, step, value) a script observes into one
@@ -328,7 +330,7 @@ func TestRunBeforeLeavesWindowEdge(t *testing.T) {
 	}
 }
 
-// Every process goroutine is gone once a Sim has drained, however the
+// Every process coroutine is gone once a Sim has drained, however the
 // process ended its life: by itself, handed to by a peer, or last in a chain.
 func TestNoGoroutineOutlivesDrainedSim(t *testing.T) {
 	before := runtime.NumGoroutine()
@@ -354,12 +356,19 @@ func TestNoGoroutineOutlivesDrainedSim(t *testing.T) {
 	if s.Live() != 0 {
 		t.Fatalf("Live() = %d after Run", s.Live())
 	}
+	checkGoroutines(t, before, "a drained Sim")
+}
+
+// checkGoroutines fails t if more than before goroutines are still running
+// once exiting ones have had two seconds to be reaped.
+func checkGoroutines(t *testing.T, before int, after string) {
+	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
 		runtime.Gosched() // exiting goroutines need a moment to be reaped
 	}
-	if after := runtime.NumGoroutine(); after > before {
-		t.Fatalf("%d goroutines before, %d after a drained Sim", before, after)
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("%d goroutines before, %d after %s", before, n, after)
 	}
 }
 
@@ -390,5 +399,63 @@ func TestGetTimeoutLeavesNoGetter(t *testing.T) {
 	}
 	if grew := int64(m1.HeapAlloc) - int64(m0.HeapAlloc); grew > 64<<10 {
 		t.Errorf("heap grew %d B over %d timed-out gets on an idle queue", grew, polls-polls/10)
+	}
+}
+
+// A timeout record must stay free of pointers, or the collector scans the
+// timeout heap again: it holds one record per delivered call for the length
+// of a call timeout, hundreds of thousands in a Fig 5 run.
+func TestTimeoutRecordHasNoPointers(t *testing.T) {
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				walk(path+"."+f.Name, f.Type)
+			}
+		case reflect.Array:
+			walk(path+"[]", typ.Elem())
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Func, reflect.Map,
+			reflect.Chan, reflect.Slice, reflect.String, reflect.Interface:
+			t.Errorf("%s is a %s", path, typ.Kind())
+		}
+	}
+	walk("timeout", reflect.TypeOf(timeout{}))
+	if size := unsafe.Sizeof(timeout{}); size != 24 {
+		t.Errorf("timeout record is %d bytes, want 24", size)
+	}
+}
+
+// A stale timeout names a slot that may since have passed to another
+// process: it must not expire that process's own timed wait.
+func TestStaleTimeoutSparesSlotReuser(t *testing.T) {
+	const us = time.Microsecond
+	s := New(1)
+	qa, qb := s.NewQueue(0), s.NewQueue(0)
+	a := s.Spawn("a", func(p *Proc) {
+		if _, _, timedOut := qa.GetTimeout(p, 100*us); timedOut {
+			t.Error("a timed out, want the delivery at 10µs")
+		}
+	})
+	s.At(10*us, func() { qa.TryPut(1) })
+	var b *Proc
+	bTimedOut := time.Duration(-1)
+	s.At(20*us, func() {
+		b = s.Spawn("b", func(p *Proc) {
+			if _, _, timedOut := qb.GetTimeout(p, 200*us); timedOut {
+				bTimedOut = p.Now()
+			}
+		})
+	})
+	end := s.Run()
+	if b.slot != a.slot {
+		t.Fatalf("b got slot %d, a had %d: the test needs b to reuse a's slot", b.slot, a.slot)
+	}
+	if bTimedOut != 220*us {
+		t.Fatalf("b timed out at %v, want 220µs (a's stale timeout is due at 100µs)", bTimedOut)
+	}
+	if end != 220*us || s.Live() != 0 {
+		t.Fatalf("Run() = %v with %d live, want 220µs and none", end, s.Live())
 	}
 }

@@ -199,8 +199,8 @@ func (q *Queue) Get(p *Proc) (v any, ok bool) {
 func (q *Queue) TryGet() (v any, ok bool) { return q.take() }
 
 // GetTimeout is Get bounded by a timeout. timedOut reports that the timeout
-// fired before an element arrived. The timeout is an event of its own: when
-// it pops first it unlinks p and schedules the wake (Proc.expire), when a
+// fired before an element arrived. The timeout is a record of its own: when
+// it pops first it unlinks p and schedules the wake (Sim.expire), when a
 // delivery beat it it pops as a no-op.
 func (q *Queue) GetTimeout(p *Proc, d time.Duration) (v any, ok, timedOut bool) {
 	if v, ok := q.take(); ok {
@@ -213,9 +213,9 @@ func (q *Queue) GetTimeout(p *Proc, d time.Duration) (v any, ok, timedOut bool) 
 		return nil, false, true
 	}
 	q.getters.push(p)
-	p.timer++
-	p.timedQ, p.timedOut = q, false
-	q.s.schedule(q.s.now+d, event{p: p, gen: p.timer, timeout: true})
+	t := timeout{q.s.stamp(q.s.now + d), p.slot}
+	q.s.timeouts.push(t)
+	p.timedQ, p.timedSeq, p.timedOut = q, t.seq, false
 	p.block()
 	if p.timedOut {
 		return nil, false, true

@@ -1,16 +1,17 @@
 // Sharded discrete-event kernel (DESIGN.md S22).
 //
 // ShardedSim partitions a simulation into shards, each owning a disjoint set
-// of nodes, its own event heap (an embedded single-threaded Sim), and a
-// dedicated worker goroutine. Shards synchronize with a conservative
-// lookahead/barrier protocol: every round the coordinator computes the
-// earliest pending event time Tmin across all shards, opens the window
-// [Tmin, Tmin+lookahead), and lets every worker process its local events
-// inside the window in parallel. Cross-shard events flow through lock-free
-// MPSC mailboxes and may not be scheduled earlier than one lookahead after
-// they are sent, so nothing posted during a window can land inside it; the
-// barrier then drains each mailbox and merges its messages into the owning
-// heap in deterministic (time, srcNode, srcSeq) order.
+// of nodes and its own event heap (an embedded single-threaded Sim). Shard 0
+// runs on the coordinator, every other shard on a dedicated worker
+// goroutine. Shards synchronize with a conservative lookahead/barrier
+// protocol: every round the coordinator computes the earliest pending event
+// time Tmin across all shards, opens the window [Tmin, Tmin+lookahead), and
+// runs shard 0's window while the workers run theirs in parallel.
+// Cross-shard events flow through lock-free MPSC mailboxes and may not be
+// scheduled earlier than one lookahead after they are sent, so nothing
+// posted during a window can land inside it; the barrier then drains each
+// mailbox and merges its messages into the owning heap in deterministic
+// (time, srcNode, srcSeq) order.
 //
 // Determinism contract: provided scenario code keeps node state inside the
 // owning shard, routes every cross-node interaction through Post (or a layer
@@ -54,8 +55,8 @@ type Shard struct {
 }
 
 // Sim returns the shard's sequential kernel. Scheduling on it (At, After,
-// Spawn, NewQueue, NewResource) is only safe from the shard's own worker
-// context or between coordinator rounds.
+// Spawn, NewQueue, NewResource) is only safe from the shard's own window
+// (its events and processes) or between coordinator rounds.
 func (sh *Shard) Sim() *Sim { return sh.sim }
 
 // merge drains the inbox and schedules every message on the shard heap in
@@ -82,7 +83,7 @@ type ShardedSim struct {
 	shards []*Shard
 	look   time.Duration
 
-	work    []chan time.Duration
+	work    []chan time.Duration // work[i] feeds shard i's worker; work[0] is nil
 	done    chan int
 	panics  []any
 	started bool
@@ -153,29 +154,33 @@ func (ss *ShardedSim) start() {
 	ss.work = make([]chan time.Duration, len(ss.shards))
 	ss.done = make(chan int, len(ss.shards))
 	ss.panics = make([]any, len(ss.shards))
-	for i := range ss.shards {
+	for i := 1; i < len(ss.shards); i++ {
 		ss.work[i] = make(chan time.Duration)
 		go ss.worker(i)
 	}
 }
 
-// worker is shard i's dedicated goroutine: it parks on the work channel,
-// runs one window of the shard's heap, and reports back. A panic inside a
-// shard (a simulated process failing) is captured and re-raised by the
-// coordinator so the barrier never deadlocks on a dead worker.
+// worker is shard i's dedicated goroutine (i >= 1; the coordinator runs
+// shard 0 itself): it parks on the work channel, runs one window of the
+// shard's heap, and reports back.
 func (ss *ShardedSim) worker(i int) {
-	sh := ss.shards[i]
 	for w := range ss.work[i] {
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					ss.panics[i] = r
-				}
-			}()
-			sh.sim.RunBefore(w)
-		}()
+		ss.runWindow(i, w)
 		ss.done <- i
 	}
+}
+
+// runWindow runs shard i's events before w. A panic inside the shard (a
+// simulated process failing) is captured and re-raised by the coordinator
+// once every shard has finished the window, so the barrier never deadlocks
+// on a dead worker.
+func (ss *ShardedSim) runWindow(i int, w time.Duration) {
+	defer func() {
+		if r := recover(); r != nil {
+			ss.panics[i] = r
+		}
+	}()
+	ss.shards[i].sim.RunBefore(w)
 }
 
 // Run drives the simulation until no events remain anywhere.
@@ -209,10 +214,13 @@ func (ss *ShardedSim) RunUntil(horizon time.Duration) time.Duration {
 			w = horizon + 1
 		}
 		ss.lastW = w
-		for i := range ss.shards {
+		// Shard 0 runs here rather than on a worker: one hand-off and one
+		// parked thread fewer per window.
+		for i := 1; i < len(ss.shards); i++ {
 			ss.work[i] <- w
 		}
-		for range ss.shards {
+		ss.runWindow(0, w)
+		for i := 1; i < len(ss.shards); i++ {
 			<-ss.done
 		}
 		for i, p := range ss.panics {
@@ -246,7 +254,7 @@ func (ss *ShardedSim) Close() {
 	if !ss.started {
 		return
 	}
-	for i := range ss.work {
+	for i := 1; i < len(ss.work); i++ {
 		close(ss.work[i])
 	}
 }

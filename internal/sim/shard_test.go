@@ -162,6 +162,37 @@ func TestShardedLookaheadViolationPanics(t *testing.T) {
 	ss.Run()
 }
 
+// A process panicking in a window, on the coordinator's own shard 0 or on a
+// worker's shard, surfaces from RunUntil with its message, and Close still
+// releases every worker.
+func TestShardedProcPanicReachesRunUntil(t *testing.T) {
+	for _, shard := range []int{0, 1} {
+		t.Run(fmt.Sprintf("shard%d", shard), func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			ss := NewSharded(1, 2, time.Microsecond)
+			ss.Shard(shard).Sim().Spawn("victim", func(p *Proc) {
+				p.Sleep(3 * time.Microsecond)
+				panic("boom")
+			})
+			ss.Shard(1-shard).Sim().Spawn("bystander", func(p *Proc) {
+				p.Sleep(2 * time.Microsecond)
+			})
+			func() {
+				defer func() {
+					want := "sim: process panic at t=3µs in victim: boom"
+					if r := recover(); r != want {
+						t.Errorf("recovered %v, want %q", r, want)
+					}
+				}()
+				ss.RunUntil(time.Second)
+				t.Error("RunUntil returned")
+			}()
+			ss.Close()
+			checkGoroutines(t, before, "Close")
+		})
+	}
+}
+
 func TestRunUntilPeeksBeyondHorizon(t *testing.T) {
 	s := New(1)
 	fired := 0

@@ -1,15 +1,16 @@
 // Package sim implements a deterministic discrete-event simulation kernel.
 //
-// The kernel runs simulated processes as goroutines but enforces strictly
-// cooperative, one-at-a-time execution: exactly one goroutine (either the
-// driver, i.e. whoever called Run, or a single process) holds control at any
-// instant, and it passes control on explicitly. The run loop moves with
-// control: a process that blocks pops the next event itself. If that event is
-// its own wake it simply carries on; if it wakes another process, control is
-// handed to that process directly; only a callback event, an empty heap, the
-// run's horizon or a panic hands control back to the driver, which alone runs
-// callbacks (DESIGN.md S30). All simulator state may therefore be accessed
-// without locks, and a run is bit-for-bit reproducible given the same seed.
+// The kernel runs each simulated process as a coroutine (iter.Pull) and
+// enforces strictly cooperative, one-at-a-time execution: exactly one of the
+// driver (whoever called Run) or a single process runs at any instant, and
+// control moves only when the runner blocks, exits or yields. The run loop
+// moves with control: a process that blocks pops the next event itself. If
+// that event is its own wake it simply carries on without a switch;
+// otherwise it names the process that event wakes (or nobody) and yields to
+// the driver, which resumes the named process and goes on down the chain.
+// Only the driver runs callbacks (DESIGN.md S35). All simulator state may
+// therefore be accessed without locks, and a run is bit-for-bit reproducible
+// given the same seed.
 //
 // Time is virtual. Processes advance it only by blocking: Sleep, queue
 // operations (see Queue), and resource acquisition (see Resource). Events
@@ -34,20 +35,24 @@ type Sim struct {
 	// comes (a 120 s call timeout outlives the call by 120 s), so timeouts
 	// pile up by the hundred thousand, pushed in nearly sorted order and
 	// rarely popped, while the wakes and callbacks that every blocking
-	// operation pushes and pops number a few dozen. The next event is the
-	// earlier of the two tops.
-	events   eventHeap // wakes and callbacks
-	timeouts eventHeap
+	// operation pushes and pops number a few dozen. A timeout names its
+	// process by slot, so its heap holds no pointer and the collector never
+	// scans it. The next event is the earlier of the two tops.
+	events   heap4[action]
+	timeouts heap4[int32]
 	rng      *rand.Rand
 
 	// horizon is the last instant the current run may process; whoever pops
 	// events, driver or process, leaves later ones alone.
 	horizon time.Duration
-	// driver is signalled when control returns to the goroutine inside Run.
-	// Buffered so the goroutine giving control up never waits for the driver
-	// to reach its receive.
-	driver chan struct{}
+	// handTo is the process a yielding or exiting process passes control
+	// to through the driver; nil gives control back to the driver.
+	handTo *Proc
 
+	// procs is the slot table: the live process in each slot, nil in a
+	// slot on the free list. A process keeps its slot from Spawn to exit.
+	procs    []*Proc
+	free     []int32
 	live     int // processes spawned and not yet finished
 	procSeq  int
 	panicVal any
@@ -56,10 +61,7 @@ type Sim struct {
 
 // New returns a simulator whose random source is seeded with seed.
 func New(seed int64) *Sim {
-	return &Sim{
-		rng:    rand.New(rand.NewSource(seed)),
-		driver: make(chan struct{}, 1),
-	}
+	return &Sim{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Now returns the current virtual time.
@@ -73,32 +75,43 @@ func (s *Sim) Rand() *rand.Rand { return s.rng }
 // yet returned.
 func (s *Sim) Live() int { return s.live }
 
-// event is a scheduled kernel action, held by value in the heap: a callback
-// (fn), the wake of a blocked or not yet started process (p), or the expiry
-// of p's timed wait number gen (timeout).
-type event struct {
-	at      time.Duration
-	seq     uint64
-	fn      func()
-	p       *Proc
-	gen     uint32
-	timeout bool
+// key orders pending records: virtual time, then scheduling order. seq is
+// unique, so that is a total order and the pop sequence does not depend on
+// a heap's shape.
+type key struct {
+	at  time.Duration
+	seq uint64
 }
 
-func (e *event) before(o *event) bool {
-	return e.at < o.at || (e.at == o.at && e.seq < o.seq)
+func (k key) before(o key) bool { return k.at < o.at || (k.at == o.at && k.seq < o.seq) }
+
+// entry is one pending record, held by value in a heap4.
+type entry[V any] struct {
+	key
+	v V
 }
 
-// eventHeap is a 4-ary min-heap on (at, seq). seq is unique, so that is a
-// total order and the pop sequence does not depend on the heap's shape.
-type eventHeap []event
+// action is what a wake or callback event does: run fn in kernel context,
+// or hand control to p (a blocked or not yet started process).
+type action struct {
+	fn func()
+	p  *Proc
+}
 
-func (hp *eventHeap) push(e event) {
+// timeout is the expiry of a timed wait: the slot of the waiting process,
+// and in seq the identity of the wait (Proc.timedSeq). It carries no
+// pointer (TestTimeoutRecordHasNoPointers).
+type timeout = entry[int32]
+
+// heap4 is a 4-ary min-heap of entries on their keys.
+type heap4[V any] []entry[V]
+
+func (hp *heap4[V]) push(e entry[V]) {
 	h := append(*hp, e)
 	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / 4
-		if !e.before(&h[parent]) {
+		if !e.before(h[parent].key) {
 			break
 		}
 		h[i] = h[parent]
@@ -108,14 +121,14 @@ func (hp *eventHeap) push(e event) {
 	*hp = h
 }
 
-// pop removes and returns the earliest event. The vacated slot is cleared so
+// pop removes and returns the earliest entry. The vacated slot is cleared so
 // the heap's spare capacity pins no process or closure.
-func (hp *eventHeap) pop() event {
+func (hp *heap4[V]) pop() entry[V] {
 	h := *hp
 	top := h[0]
 	n := len(h) - 1
 	last := h[n]
-	h[n] = event{}
+	h[n] = entry[V]{}
 	h = h[:n]
 	*hp = h
 	if n == 0 {
@@ -129,11 +142,11 @@ func (hp *eventHeap) pop() event {
 		}
 		min := first
 		for c := first + 1; c < first+4 && c < n; c++ {
-			if h[c].before(&h[min]) {
+			if h[c].before(h[min].key) {
 				min = c
 			}
 		}
-		if !h[min].before(&last) {
+		if !h[min].before(last.key) {
 			break
 		}
 		h[i] = h[min]
@@ -143,36 +156,32 @@ func (hp *eventHeap) pop() event {
 	return top
 }
 
-// earliest returns the heap holding the next event; it is empty only when
-// nothing at all is scheduled.
-func (s *Sim) earliest() *eventHeap {
-	if len(s.timeouts) > 0 && (len(s.events) == 0 || s.timeouts[0].before(&s.events[0])) {
-		return &s.timeouts
-	}
-	return &s.events
+// timeoutFirst reports whether the next pending event is a timeout.
+func (s *Sim) timeoutFirst() bool {
+	return len(s.timeouts) > 0 && (len(s.events) == 0 || s.timeouts[0].before(s.events[0].key))
 }
 
-// schedule enqueues e at time at. It may be called from kernel context or
-// from a running process (both are exclusive).
-func (s *Sim) schedule(at time.Duration, e event) {
+// stamp keys a record for time at (never before now) in scheduling order.
+func (s *Sim) stamp(at time.Duration) key {
 	if at < s.now {
 		at = s.now
 	}
 	s.seq++
-	e.at, e.seq = at, s.seq
-	if e.timeout {
-		s.timeouts.push(e)
-	} else {
-		s.events.push(e)
-	}
+	return key{at, s.seq}
+}
+
+// schedule enqueues a at time at. It may be called from kernel context or
+// from a running process (both are exclusive).
+func (s *Sim) schedule(at time.Duration, a action) {
+	s.events.push(entry[action]{s.stamp(at), a})
 }
 
 // At schedules fn to run in kernel context at absolute virtual time at.
 // fn must not block; to run blocking code, spawn a process from within fn.
-func (s *Sim) At(at time.Duration, fn func()) { s.schedule(at, event{fn: fn}) }
+func (s *Sim) At(at time.Duration, fn func()) { s.schedule(at, action{fn: fn}) }
 
 // After schedules fn to run in kernel context d from now.
-func (s *Sim) After(d time.Duration, fn func()) { s.schedule(s.now+d, event{fn: fn}) }
+func (s *Sim) After(d time.Duration, fn func()) { s.schedule(s.now+d, action{fn: fn}) }
 
 // Run processes events until none remain: every process has finished and
 // nothing further is scheduled. It returns the final virtual time. If any
@@ -188,7 +197,7 @@ func (s *Sim) RunUntil(until time.Duration) time.Duration {
 		return s.now
 	}
 	s.run(until)
-	if len(*s.earliest()) > 0 {
+	if len(s.events)+len(s.timeouts) > 0 {
 		s.now = until
 	}
 	return s.now
@@ -205,27 +214,25 @@ func (s *Sim) RunBefore(w time.Duration) time.Duration {
 }
 
 // run is the driver's loop: it pops every event up to the horizon, runs the
-// callbacks itself and lends control to the processes. While a process has
-// control the driver is parked on s.driver, and processes pass control among
-// themselves (see Proc.block) until something only the driver may do comes
-// up, so one receive here can cover many events.
+// callbacks and timeouts itself and resumes the processes. A resumed process
+// pops events itself while it runs (see Proc.block) and names in s.handTo
+// the process to resume after it, so one resume here can cover many events.
 func (s *Sim) run(horizon time.Duration) {
 	s.horizon = horizon
 	for {
-		h := s.earliest()
-		if len(*h) == 0 || (*h)[0].at > horizon {
+		s.expireDue()
+		if len(s.events) == 0 || s.events[0].at > horizon {
 			return
 		}
-		e := h.pop()
+		e := s.events.pop()
 		s.now = e.at
-		switch {
-		case e.fn != nil:
-			e.fn()
-		case e.timeout:
-			e.p.expire(e.gen)
-		default:
-			e.p.switchTo()
-			<-s.driver
+		if e.v.fn != nil {
+			e.v.fn()
+		} else {
+			for p := e.v.p; p != nil; p = s.handTo {
+				s.handTo = nil
+				p.next()
+			}
 		}
 		s.checkPanic()
 	}
@@ -236,29 +243,39 @@ func (s *Sim) run(horizon time.Duration) {
 // driver: the next event is a callback or lies past the horizon, nothing is
 // scheduled, or a process has panicked.
 func (s *Sim) nextProc() *Proc {
-	for s.panicVal == nil {
-		h := s.earliest()
-		if len(*h) == 0 || (*h)[0].fn != nil || (*h)[0].at > s.horizon {
-			break
-		}
-		e := h.pop()
-		s.now = e.at
-		if !e.timeout {
-			return e.p
-		}
-		e.p.expire(e.gen)
+	if s.panicVal != nil {
+		return nil
 	}
-	return nil
+	s.expireDue()
+	if len(s.events) == 0 || s.events[0].v.fn != nil || s.events[0].at > s.horizon {
+		return nil
+	}
+	e := s.events.pop()
+	s.now = e.at
+	return e.v.p
+}
+
+// expireDue pops and runs the timeouts due before the next wake or callback
+// and within the horizon. Whoever pops events runs it first, so timeouts
+// and events interleave in (at, seq) order.
+func (s *Sim) expireDue() {
+	for s.timeoutFirst() && s.timeouts[0].at <= s.horizon {
+		t := s.timeouts.pop()
+		s.now = t.at
+		s.expire(t)
+	}
 }
 
 // NextEventTime peeks the earliest pending event time without disturbing the
 // heap. ok is false when nothing is scheduled.
 func (s *Sim) NextEventTime() (at time.Duration, ok bool) {
-	h := *s.earliest()
-	if len(h) == 0 {
-		return 0, false
+	switch {
+	case s.timeoutFirst():
+		return s.timeouts[0].at, true
+	case len(s.events) > 0:
+		return s.events[0].at, true
 	}
-	return h[0].at, true
+	return 0, false
 }
 
 func (s *Sim) checkPanic() {
@@ -269,15 +286,16 @@ func (s *Sim) checkPanic() {
 
 // Proc is a simulated process. All blocking primitives (Sleep, queue and
 // resource operations) take the calling process so the kernel knows whom to
-// suspend; a Proc must only ever be used by the goroutine running it.
+// suspend; a Proc must only ever be used by its own body. The body runs as a
+// coroutine: next resumes it from the driver, and it gives control back by
+// yielding (Proc.block) or returning.
 type Proc struct {
-	sim  *Sim
-	name string
-	id   int
-	fn   func(*Proc) // body; its goroutine starts at the first wake
-	// resume is signalled to hand control to this process. Buffered so the
-	// goroutine handing over never waits for p to reach its receive.
-	resume chan struct{}
+	sim   *Sim
+	name  string
+	id    int
+	slot  int32                   // index in the slot table, while live
+	next  func() (struct{}, bool) // resumes the body until it yields or returns
+	yield func(struct{}) bool     // called by the body to give control back
 
 	// Wait record: what a queue or resource hands a blocked process. It
 	// lives here, not in a record of its own, because a process blocks on
@@ -287,11 +305,11 @@ type Proc struct {
 	n   int64 // units requested from a resource
 	// timedQ is the queue p waits on with a timeout armed; delivery and
 	// expiry both clear it, so whichever comes second finds nothing to do.
-	// timer numbers p's timed waits: a timeout event carrying an older
-	// number belongs to a wait that is over and pops as a no-op. (It would
-	// take 2^32 timed waits inside one timeout to confuse two.)
+	// timedSeq is the seq of that wait's timeout record: a timeout for p's
+	// slot carrying any other seq belongs to a wait that is over, possibly
+	// of an earlier process in the same slot, and pops as a no-op.
 	timedQ   *Queue
-	timer    uint32
+	timedSeq uint64
 	timedOut bool
 }
 
@@ -303,33 +321,24 @@ func (p *Proc) Now() time.Duration { return p.sim.now }
 // process or kernel callback.
 func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
 	s.procSeq++
-	p := &Proc{sim: s, name: name, id: s.procSeq, fn: fn, resume: make(chan struct{}, 1)}
+	p := &Proc{sim: s, name: name, id: s.procSeq}
+	if n := len(s.free); n > 0 {
+		p.slot = s.free[n-1]
+		s.free = s.free[:n-1]
+		s.procs[p.slot] = p
+	} else {
+		p.slot = int32(len(s.procs))
+		s.procs = append(s.procs, p)
+	}
+	p.start(fn)
 	s.live++
 	p.wake()
 	return p
 }
 
-// switchTo hands control to p, whose wake was just popped. The caller must
-// give control up right after: park, or exit.
-func (p *Proc) switchTo() {
-	if fn := p.fn; fn != nil {
-		p.fn = nil
-		go p.run(fn)
-		return
-	}
-	p.resume <- struct{}{}
-}
-
-// handOver passes control on from a process that is about to park or exit:
-// to the process whose wake it popped, else (next == nil) to the driver.
-func (s *Sim) handOver(next *Proc) {
-	if next != nil {
-		next.switchTo()
-		return
-	}
-	s.driver <- struct{}{}
-}
-
+// run is the coroutine body: fn, then the exit. A panic is recorded for the
+// driver to re-raise; either way the exit frees the slot and pops on to the
+// next process, as block does.
 func (p *Proc) run(fn func(*Proc)) {
 	defer func() {
 		s := p.sim
@@ -338,29 +347,30 @@ func (p *Proc) run(fn func(*Proc)) {
 			s.panicLoc = p.name
 		}
 		s.live--
-		s.handOver(s.nextProc())
+		s.procs[p.slot] = nil
+		s.free = append(s.free, p.slot)
+		s.handTo = s.nextProc()
 	}()
 	fn(p)
 }
 
 // block suspends the process until its wake event is popped. It must only
-// be invoked by the process's own goroutine, with that wake already
-// scheduled or owed by a queue or resource p is linked on. The common case,
-// an uncontended Sleep, finds its own wake next and never leaves the
-// goroutine.
+// be invoked by the process's own body, with that wake already scheduled or
+// owed by a queue or resource p is linked on. The common case, an
+// uncontended Sleep, finds its own wake next and never leaves the coroutine.
 func (p *Proc) block() {
 	s := p.sim
 	next := s.nextProc()
 	if next == p {
 		return
 	}
-	s.handOver(next)
-	<-p.resume
+	s.handTo = next
+	p.yield(struct{}{})
 }
 
 // wake schedules the process to resume at the current virtual time. It must
 // be called with the kernel or another process in control, never by p itself.
-func (p *Proc) wake() { p.sim.schedule(p.sim.now, event{p: p}) }
+func (p *Proc) wake() { p.sim.schedule(p.sim.now, action{p: p}) }
 
 // deliver completes p's wait with (v, ok) and wakes it. A timeout still
 // armed for the wait becomes a no-op.
@@ -370,14 +380,16 @@ func (p *Proc) deliver(v any, ok bool) {
 	p.wake()
 }
 
-// expire is timed wait number gen running out. If p is still in that wait it
-// leaves the queue and wakes with timedOut set; otherwise a delivery got
-// there first and the event is stale.
-func (p *Proc) expire(gen uint32) {
-	q := p.timedQ
-	if q == nil || p.timer != gen {
+// expire runs a popped timeout. If the process in its slot is still in the
+// timed wait it was armed for, it leaves the queue and wakes with timedOut
+// set; otherwise a delivery got there first (or that process is gone) and
+// the timeout is stale.
+func (s *Sim) expire(t timeout) {
+	p := s.procs[t.v]
+	if p == nil || p.timedQ == nil || p.timedSeq != t.seq {
 		return
 	}
+	q := p.timedQ
 	p.timedQ = nil
 	p.timedOut = true
 	q.getters.remove(p)
@@ -391,7 +403,7 @@ func (p *Proc) Sleep(d time.Duration) {
 		// in FIFO order.
 		d = 0
 	}
-	p.sim.schedule(p.sim.now+d, event{p: p})
+	p.sim.schedule(p.sim.now+d, action{p: p})
 	p.block()
 }
 
