@@ -172,7 +172,7 @@ func TestRPCoIBNetBootstrapAndZeroCopy(t *testing.T) {
 		pool := bufpool.NewNativePool(0)
 		m := &poolMsg{pool: pool, b: pool.Get(64), n: 17}
 		copy(m.b.Data, "zero-copy payload")
-		if err := ps.SendPooled(e, m); err != nil {
+		if err := ps.SendPooled(e, m, false); err != nil {
 			t.Error(err)
 			return
 		}

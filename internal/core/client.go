@@ -409,13 +409,14 @@ func (c *Client) issue(e exec.Env, addr, protocol, method string, param, reply w
 		conn.takeCall(id)
 		return c.failedFutureSpan(e, span, kind, ErrClosed)
 	}
-	sendStart := e.Now()
+	sendStart := stamp(e, span != nil)
 	tw := traceWireOf(span)
+	timed := span != nil || kind.msgBytes != nil // the send windows have a reader
 	var st sent
 	if c.opts.Mode == ModeRPCoIB {
-		st, err = c.sendRPCoIB(e, conn, id, deadline, tw, kind, param)
+		st, err = c.sendRPCoIB(e, conn, id, deadline, tw, kind, param, timed)
 	} else {
-		st, err = c.sendBaseline(e, conn, id, deadline, tw, kind, param)
+		st, err = c.sendBaseline(e, conn, id, deadline, tw, kind, param, timed)
 	}
 	conn.sendMu.unlock()
 	if err != nil {
@@ -437,10 +438,11 @@ func (c *Client) issue(e exec.Env, addr, protocol, method string, param, reply w
 
 // sendBaseline is the paper's Listing 1: serialize into a fresh 32-byte
 // DataOutputBuffer (Algorithm 1 growth), copy onto the connection's stream
-// buffer behind a 4-byte length, copy heap-to-native, syscall, send.
-func (c *Client) sendBaseline(e exec.Env, conn *Connection, id int32, deadline time.Duration, tw traceWire, kind *clientKind, param wire.Writable) (sent, error) {
+// buffer behind a 4-byte length, copy heap-to-native, syscall, send. The
+// serialize and send windows are measured when timed.
+func (c *Client) sendBaseline(e exec.Env, conn *Connection, id int32, deadline time.Duration, tw traceWire, kind *clientKind, param wire.Writable, timed bool) (sent, error) {
 	cost := c.cost()
-	t0 := e.Now()
+	t0 := stamp(e, timed)
 	d := wire.NewDataOutputBuffer()
 	out := &conn.out
 	out.Reset(d)
@@ -451,9 +453,9 @@ func (c *Client) sendBaseline(e exec.Env, conn *Connection, id int32, deadline t
 	st := d.TakeStats()
 	c.work(e, cost.Serialize(out.Ops())+cost.Copy(d.Len())+c.bufferCost(st))
 	out.Reset(nil) // the connection's encoder must not pin this call's buffer
-	serialize := e.Now() - t0
+	serialize := stamp(e, timed) - t0
 
-	t1 := e.Now()
+	t1 := stamp(e, timed)
 	n := d.Len()
 	if cap(conn.streamBuf) < 4+n {
 		// The BufferedOutputStream's backing array grows rarely and
@@ -468,7 +470,7 @@ func (c *Client) sendBaseline(e exec.Env, conn *Connection, id int32, deadline t
 	native := append([]byte(nil), frame...) // the heap-to-native crossing
 	c.work(e, cost.HeapNative(4+n)+cost.Syscall+cost.RPCOverhead)
 	err := conn.tc.Send(e, native)
-	return sent{serialize: serialize, send: e.Now() - t1, bytes: n, adjustments: st.Adjustments}, err
+	return sent{serialize: serialize, send: stamp(e, timed) - t1, bytes: n, adjustments: st.Adjustments}, err
 }
 
 // poolKey builds the shadow-pool history key for a call kind.
@@ -504,10 +506,11 @@ func (c *Client) kind(protocol, method string) *clientKind {
 }
 
 // sendRPCoIB serializes straight into a history-sized registered buffer and
-// hands it to the transport as a pooled message (DESIGN.md S33).
-func (c *Client) sendRPCoIB(e exec.Env, conn *Connection, id int32, deadline time.Duration, tw traceWire, kind *clientKind, param wire.Writable) (sent, error) {
+// hands it to the transport as a pooled message (DESIGN.md S33). The
+// serialize and send windows are measured when timed.
+func (c *Client) sendRPCoIB(e exec.Env, conn *Connection, id int32, deadline time.Duration, tw traceWire, kind *clientKind, param wire.Writable, timed bool) (sent, error) {
 	cost := c.cost()
-	t0 := e.Now()
+	t0 := stamp(e, timed)
 	s := &conn.stream
 	s.Reset(c.opts.Pool, kind.poolKey)
 	c.work(e, cost.PoolGet)
@@ -518,17 +521,21 @@ func (c *Client) sendRPCoIB(e exec.Env, conn *Connection, id int32, deadline tim
 		param.Write(out)
 	}
 	c.work(e, cost.Serialize(out.Ops())+cost.Copy(s.Len())+c.regetCost(s))
-	serialize := e.Now() - t0
+	serialize := stamp(e, timed) - t0
 
-	t1 := e.Now()
+	t1 := stamp(e, timed)
 	n := s.Len()
 	c.work(e, cost.RPCOverhead)
-	if conn.lastSend > 0 && e.Now()-conn.lastSend < cost.ReapIdleGap {
-		c.work(e, cost.SendReap)
+	if cost.SendReap > 0 {
+		if conn.lastSend > 0 && e.Now()-conn.lastSend < cost.ReapIdleGap {
+			c.work(e, cost.SendReap)
+		}
+		conn.lastSend = e.Now()
 	}
-	conn.lastSend = e.Now()
-	err := transport.SendPooled(e, conn.tc, s)
-	return sent{serialize: serialize, send: e.Now() - t1, bytes: n, adjustments: int64(s.Regets())}, err
+	// more is false: sendMu already serializes the callers, so no caller
+	// knows of another frame behind its own.
+	err := transport.SendPooled(e, conn.tc, s, false)
+	return sent{serialize: serialize, send: stamp(e, timed) - t1, bytes: n, adjustments: int64(s.Regets())}, err
 }
 
 // regetCost prices the doubling re-gets a cold history record causes.

@@ -277,6 +277,16 @@ func (ck *clientKind) observe(s sent) {
 	}
 }
 
+// stamp reads the clock for a reading that someone consumes (on) and is 0
+// otherwise: a real-mode clock read is a measurable share of a small call.
+// A simulated clock read has no side effect, so skipping one moves nothing.
+func stamp(e exec.Env, on bool) time.Duration {
+	if on {
+		return e.Now()
+	}
+	return 0
+}
+
 // observeSince records e.Now()-start into h (no-op on nil histogram),
 // reading the clock only when someone is listening so uninstrumented runs
 // take the exact same Env call sequence as before.

@@ -204,7 +204,8 @@ func (s *Server) listenLoop(e exec.Env) {
 func (s *Server) readerLoop(e exec.Env, conn transport.Conn) {
 	cost := s.cost()
 	baseline := s.opts.Mode == ModeBaseline
-	in := new(wire.DataInput) // this thread's decoder, reset per request
+	timed := s.m.reg != nil || s.opts.Trace != nil // the Reader's window has a reader
+	in := new(wire.DataInput)                      // this thread's decoder, reset per request
 	for {
 		data, release, err := conn.Recv(e)
 		if err != nil {
@@ -216,7 +217,7 @@ func (s *Server) readerLoop(e exec.Env, conn transport.Conn) {
 		if s.readerSem != nil {
 			s.readerSem.acquire(e)
 		}
-		t0 := e.Now()
+		t0 := stamp(e, timed)
 		var allocDur time.Duration
 		if baseline {
 			// Listing 2: lenBuffer = ByteBuffer.allocate(4); data =
@@ -260,7 +261,7 @@ func (s *Server) readerLoop(e exec.Env, conn transport.Conn) {
 		s.work(e, cost.Serialize(in.Ops())+cost.Copy(n))
 		in.Reset(nil) // a parked decoder must not pin the frame it last read
 		release()
-		procDur := e.Now() - t0
+		procDur := stamp(e, timed) - t0
 		var wireDur time.Duration
 		call.md.serialize.ObserveDuration(procDur)
 		if baseline {
@@ -406,7 +407,7 @@ func (s *Server) handlerLoop(e exec.Env) {
 			continue
 		}
 		s.m.handlersBusy.Inc()
-		handleStart := e.Now()
+		handleStart := stamp(e, call.md.handle != nil || call.span != nil)
 		s.work(e, cost.Dispatch)
 		var value wire.Writable
 		var callErr error
@@ -522,35 +523,46 @@ func writeResponseBody(out *wire.DataOutput, id int32, value wire.Writable, call
 }
 
 // responderLoop is the paper's Responder thread: it sends every queued
-// response back on its originating connection, then recycles the record.
+// response back on its originating connection, then recycles the record. It
+// looks one response ahead, and a send whose successor goes to the same
+// connection says so (more), so TCP writes the run at once (DESIGN.md S36).
+// The look-ahead takes what the next Get would have, and a simulated TryGet
+// of the unbounded queue wakes no one, so no simulated event moves.
 func (s *Server) responderLoop(e exec.Env) {
-	for {
-		v, ok := s.respQ.Get(e)
-		if !ok {
-			return
-		}
+	v, ok := s.respQ.Get(e)
+	for ok {
 		r := v.(*serverCall)
+		next, queued := s.respQ.TryGet()
 		s.m.responderBacklog.Dec()
-		s.respond(e, r)
+		s.respond(e, r, queued && next.(*serverCall).conn == r.conn)
 		*r = serverCall{}
 		s.free.put(r)
+		if queued {
+			v = next
+		} else {
+			v, ok = s.respQ.Get(e)
+		}
 	}
 }
 
-func (s *Server) respond(e exec.Env, r *serverCall) {
+// respond sends r's response; more is SendPooled's hint that the Responder
+// sends another on the same connection next.
+func (s *Server) respond(e exec.Env, r *serverCall, more bool) {
 	cost := s.cost()
-	respondStart := e.Now()
+	respondStart := stamp(e, r.md.respond != nil || r.span != nil)
 	var n int
 	if s.opts.Mode == ModeRPCoIB {
 		n = r.stream.Len()
 		s.work(e, cost.RPCOverhead)
 		// The CQ is shared across connections: back-to-back sends from
 		// the responder reap the previous completion synchronously.
-		if s.lastReap > 0 && e.Now()-s.lastReap < cost.ReapIdleGap {
-			s.work(e, cost.SendReap)
+		if cost.SendReap > 0 {
+			if s.lastReap > 0 && e.Now()-s.lastReap < cost.ReapIdleGap {
+				s.work(e, cost.SendReap)
+			}
+			s.lastReap = e.Now()
 		}
-		s.lastReap = e.Now()
-		_ = transport.SendPooled(e, r.conn, &r.stream)
+		_ = transport.SendPooled(e, r.conn, &r.stream, more)
 	} else {
 		n = len(r.data)
 		frame := make([]byte, 4+n)

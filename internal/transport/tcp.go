@@ -29,7 +29,8 @@ const recvStep = 4 << 20
 // else has arrived, in one syscall, and handed out as a view. A larger frame
 // grows the buffer to that frame (readBuf.room); bufpool.ShrinkAfter says
 // when it gives the memory back. The buffer is the only memory a connection
-// end retains. It is also where SendPooled starts to split a frame.
+// end retains. It is also where SendPooled starts to split a frame, and the
+// most it holds back to write at once: what the peer takes in with one read.
 const readBufSize = 8 << 10
 
 // sendTail is how many of a large pooled frame's last bytes SendPooled
@@ -104,6 +105,7 @@ type tcpConn struct {
 	wvec  [2][]byte   // prefix and body, the backing array of wbuf
 	wbuf  net.Buffers // consumed by each write; re-pointed at wvec
 	wtail [sendTail]byte
+	wq    []byte // small frames SendPooled holds back, each behind its prefix
 
 	rb *readBuf
 }
@@ -112,14 +114,18 @@ func newTCPConn(c net.Conn) *tcpConn {
 	return &tcpConn{c: c, remote: c.RemoteAddr().String(), rb: newReadBuf(readBufSize)}
 }
 
-// Send writes the prefix and data with one vectored write. A frame the peer
-// would refuse is refused here, before a byte of it is written.
+// Send writes the prefix and data with one vectored write, after any frames
+// SendPooled holds back. A frame the peer would refuse is refused here,
+// before a byte of it is written.
 func (c *tcpConn) Send(_ exec.Env, data []byte) error {
 	if len(data) > maxFrame {
 		return fmt.Errorf("transport: frame of %d bytes exceeds limit", len(data))
 	}
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
+	if err := c.flush(); err != nil {
+		return err
+	}
 	return c.writev(len(data), data)
 }
 
@@ -131,7 +137,12 @@ func (c *tcpConn) Send(_ exec.Env, data []byte) error {
 // byte, and so cannot answer it or issue its next call, before the buffer is
 // back in the pool: a writer the scheduler parks after a long write no longer
 // holds a registered buffer that the next call needs.
-func (c *tcpConn) SendPooled(_ exec.Env, m Pooled) error {
+//
+// With more set, or with frames already held back, a frame that fits
+// readBufSize is copied behind them instead and m released at once; they all
+// go out with one write when a frame comes without more, when the next would
+// not fit with them, or before a larger frame.
+func (c *tcpConn) SendPooled(_ exec.Env, m Pooled, more bool) error {
 	b, n := m.Buffer()
 	if n > maxFrame {
 		m.Release()
@@ -141,7 +152,19 @@ func (c *tcpConn) SendPooled(_ exec.Env, m Pooled) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	if 4+n <= readBufSize {
-		err := c.writev(n, data)
+		if !more && len(c.wq) == 0 {
+			err := c.writev(n, data)
+			m.Release()
+			return err
+		}
+		err := c.hold(data)
+		m.Release()
+		if err == nil && !more {
+			err = c.flush()
+		}
+		return err
+	}
+	if err := c.flush(); err != nil {
 		m.Release()
 		return err
 	}
@@ -153,6 +176,37 @@ func (c *tcpConn) SendPooled(_ exec.Env, m Pooled) error {
 		return err
 	}
 	if _, err = c.c.Write(c.wtail[:]); err != nil {
+		c.c.Close()
+	}
+	return err
+}
+
+// hold copies a small frame behind its prefix to the held-back ones, writing
+// those out first when it would not fit with them. The array is the
+// connection's own, made by the first frame held back.
+func (c *tcpConn) hold(data []byte) error {
+	if len(c.wq)+4+len(data) > readBufSize {
+		if err := c.flush(); err != nil {
+			return err
+		}
+	}
+	if c.wq == nil {
+		c.wq = make([]byte, 0, readBufSize)
+	}
+	c.wq = binary.BigEndian.AppendUint32(c.wq, uint32(len(data)))
+	c.wq = append(c.wq, data...)
+	return nil
+}
+
+// flush writes the held-back frames with one write. A failed write closes
+// the connection, as writev's does.
+func (c *tcpConn) flush() error {
+	if len(c.wq) == 0 {
+		return nil
+	}
+	_, err := c.c.Write(c.wq)
+	c.wq = c.wq[:0]
+	if err != nil {
 		c.c.Close()
 	}
 	return err

@@ -39,7 +39,7 @@ func TestTCPSendReleasingReleasesBeforeLastByte(t *testing.T) {
 	for _, n := range []int{readBufSize - 3, 64 << 10, 1 << 20} {
 		r := newCountingMsg(testBody(n, n))
 		sent := make(chan error, 1)
-		go func() { sent <- conn.SendPooled(nil, r) }()
+		go func() { sent <- conn.SendPooled(nil, r, false) }()
 		got := make([]byte, 4+n)
 		if _, err := io.ReadFull(peer, got); err != nil {
 			t.Fatal(err)
@@ -92,7 +92,7 @@ func TestTCPSendReleasingFrameShapes(t *testing.T) {
 	} {
 		r := newCountingMsg(testBody(1, tc.n))
 		raw := &writeLog{rel: r}
-		if err := newTCPConn(raw).SendPooled(nil, r); err != nil {
+		if err := newTCPConn(raw).SendPooled(nil, r, false); err != nil {
 			t.Fatal(err)
 		}
 		if r.n.Load() != 1 {
@@ -125,7 +125,7 @@ func TestTCPSendReleasingFailureReleasesOnce(t *testing.T) {
 		r := newCountingMsg(testBody(2, tc.n))
 		raw := &failingConn{failAt: tc.failAt}
 		conn := newTCPConn(raw)
-		if err := conn.SendPooled(env, r); err == nil {
+		if err := conn.SendPooled(env, r, false); err == nil {
 			t.Fatalf("%s: no error for a failed write", tc.name)
 		}
 		if r.n.Load() != 1 {
@@ -135,7 +135,7 @@ func TestTCPSendReleasingFailureReleasesOnce(t *testing.T) {
 			t.Fatalf("%s: a failed write left the connection open", tc.name)
 		}
 		r.buf, r.size = &bufpool.Buffer{Data: []byte("later")}, 5
-		if err := conn.SendPooled(env, r); err == nil || r.n.Load() != 2 {
+		if err := conn.SendPooled(env, r, false); err == nil || r.n.Load() != 2 {
 			t.Fatalf("%s: a later send on the closed connection: err %v, %d releases", tc.name, err, r.n.Load())
 		}
 	}
@@ -165,7 +165,7 @@ func TestTCPSendReleasingTailSurvivesPoison(t *testing.T) {
 	r := &shadowMsg{pool: pool, buf: pool.Native().Get(n), n: n}
 	copy(r.buf.Data, testBody(3, n))
 	sent := make(chan error, 1)
-	go func() { sent <- conn.SendPooled(nil, r) }()
+	go func() { sent <- conn.SendPooled(nil, r, false) }()
 	_, release := recvFrame(t, peer, 3, n)
 	release()
 	if err := <-sent; err != nil {

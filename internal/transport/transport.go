@@ -51,17 +51,25 @@ type Pooled interface {
 // no copy, TCP gives it back before the frame's last bytes. SendPooled calls
 // m.Release exactly once, whatever the outcome. Release may run while the
 // connection's sends are held back, so it must not send on that connection.
+//
+// more means what Linux's MSG_MORE does: the caller holds another frame for
+// this connection and sends it at once, so the transport may hold this one
+// back to go out with it (TCP does, in one write). A frame held back may be
+// lost with the connection without an error: the caller learns of the
+// failure from a later send. A transport that sends each frame as it comes
+// ignores more.
 type PooledSender interface {
-	SendPooled(e exec.Env, m Pooled) error
+	SendPooled(e exec.Env, m Pooled, more bool) error
 }
 
 // SendPooled sends m and releases it exactly once: the way the conn chooses
 // where it is a PooledSender, otherwise as a plain Send of the message
 // followed by Release (a simulated socket takes its own copy, and a
-// decorator that wraps only Conn times its Send).
-func SendPooled(e exec.Env, c Conn, m Pooled) error {
+// decorator that wraps only Conn times its Send). more is the PooledSender
+// hint; the plain Send ignores it.
+func SendPooled(e exec.Env, c Conn, m Pooled, more bool) error {
 	if ps, ok := c.(PooledSender); ok {
-		return ps.SendPooled(e, m)
+		return ps.SendPooled(e, m, more)
 	}
 	b, n := m.Buffer()
 	err := c.Send(e, b.Data[:n])

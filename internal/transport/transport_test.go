@@ -36,7 +36,7 @@ func TestSendPooledFallbackSendsThenReleases(t *testing.T) {
 		if _, ok := Conn(c).(PooledSender); ok {
 			t.Fatal("the fake conn must not be a PooledSender")
 		}
-		if err := SendPooled(nil, c, m); err != sendErr {
+		if err := SendPooled(nil, c, m, false); err != sendErr {
 			t.Fatalf("send error %v: SendPooled returned %v", sendErr, err)
 		}
 		if len(c.sent) != 1 {
