@@ -1,7 +1,7 @@
 // The NameNode hammer: the S22 scale scenario exercising the sharded kernel
 // (sim.ShardedSim via cluster.ShardedCluster), the sharded fabric
 // (netsim.ShardFabric), streamed constant-memory metrics
-// (metrics.StreamSink), and per-shard trace buffers (tracing.ShardSpans) in
+// (metrics.StreamSink), and the sharded span buffer (tracing.ShardSpans) in
 // one closed loop — the ROADMAP's 1000-node, 100K-client target, far past
 // the paper's 65-node testbed.
 //
@@ -68,8 +68,7 @@ type HammerConfig struct {
 	ThinkTime   time.Duration // mean client think between calls (default 10ms)
 	ServiceTime time.Duration // mean NameNode CPU per call (default 2µs)
 
-	TraceSampleN     uint64 // keep ~1 in N traces (default 64; 1 keeps all)
-	MaxSpansPerShard int    // span buffer backstop (default 1<<20)
+	TraceSampleN uint64 // keep ~1 in N traces (default 64; 1 keeps all)
 
 	MetricsSink *metrics.StreamSink // optional: streamed snapshot deltas
 	TraceSink   *tracing.Sink       // optional: merged spans after the run
@@ -233,7 +232,7 @@ func RunHammer(cfg HammerConfig) HammerResult {
 	sc := cluster.NewSharded(cc, perfmodel.Link(perfmodel.NativeIB).Latency)
 	defer sc.Close()
 	fab := sc.NewFabric(perfmodel.NativeIB)
-	spans := tracing.NewShardSpans(sc.Shards(), cfg.MaxSpansPerShard, cfg.TraceSampleN)
+	spans := tracing.NewShardSpans(cfg.TraceSampleN)
 	if cfg.MetricsSink != nil {
 		cfg.MetricsSink.Instrument(sc.Registry(0))
 	}
@@ -321,7 +320,7 @@ func RunHammer(cfg HammerConfig) HammerResult {
 				reg.Counter(HammerBytesMetric).Add(int64(cfg.ReqSize + cfg.RespSize))
 				reg.Histogram(HammerLatencyMetric, nil).Observe(int64(end - start))
 				if spans.Sampled(trace) {
-					spans.Emit(sc.ShardOf(node), tracing.Span{
+					spans.Emit(tracing.Span{
 						Trace: trace, ID: 1, Name: "hammer.call", Kind: "client",
 						StartNS: int64(start), DurNS: int64(end - start),
 					})

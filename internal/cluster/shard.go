@@ -1,18 +1,19 @@
-// Sharded testbed assembly (DESIGN.md S22).
+// Sharded testbed assembly (DESIGN.md S22, S37).
 //
 // ShardedCluster runs nodes on a sim.ShardedSim: nodes are partitioned into
 // shard groups (contiguous ID blocks — topology-aware in the rack sense that
 // adjacent IDs share a rack in the presets), each shard owns its members'
-// CPU resources, event heap, metrics registry, and the state of any process
-// spawned there. Cross-node traffic goes through netsim.ShardFabric, whose
-// link latency is the kernel lookahead.
+// CPU resources, event heap, and the state of any process spawned there.
+// Every node shares one metrics registry: the shards run in turn on one
+// goroutine. Cross-node traffic goes through netsim.ShardFabric, whose link
+// latency is the kernel lookahead.
 //
 // Determinism contract for scenario code: keep a node's state on its owning
 // shard, route all cross-node interaction through the fabric (or PostAt), use
 // NodeRand streams instead of a global PRNG, write any given gauge from one
 // node only, and never branch on the node→shard assignment. Under those
-// rules, merged snapshots, traces, and replays are byte-identical for every
-// shard count and every GOMAXPROCS setting.
+// rules, snapshots, traces, and replays are byte-identical for every shard
+// count.
 package cluster
 
 import (
@@ -55,7 +56,7 @@ type ShardedCluster struct {
 	cpus   []*sim.Resource
 	seqs   []uint64 // per-node cross-shard message sequence, owned by the node's shard
 	rands  []*rand.Rand
-	regs   []*metrics.Registry // one per shard; merged commutatively at barriers
+	reg    *metrics.Registry
 }
 
 // NewSharded builds a sharded cluster from cfg with the given conservative
@@ -83,13 +84,11 @@ func NewSharded(cfg Config, lookahead time.Duration) *ShardedCluster {
 		cpus:   make([]*sim.Resource, cfg.Nodes),
 		seqs:   make([]uint64, cfg.Nodes),
 		rands:  make([]*rand.Rand, cfg.Nodes),
+		reg:    metrics.New(),
 	}
 	for i := 0; i < cfg.Nodes; i++ {
 		sc.cpus[i] = sc.shardSim(i).NewResource(int64(cfg.CoresPerNode))
 		sc.rands[i] = sim.SubRand(cfg.Seed, int64(i))
-	}
-	for i := 0; i < shards; i++ {
-		sc.regs = append(sc.regs, metrics.New())
 	}
 	return sc
 }
@@ -112,23 +111,15 @@ func (sc *ShardedCluster) shardSim(node int) *sim.Sim {
 // shard re-assignment. Only legal from the owning shard's context.
 func (sc *ShardedCluster) NodeRand(node int) *rand.Rand { return sc.rands[node] }
 
-// Registry returns the metrics registry of node's owning shard. Instruments
-// must use counters/histograms (or single-writer gauges) so the barrier merge
-// is commutative. Only legal from the owning shard's context.
-func (sc *ShardedCluster) Registry(node int) *metrics.Registry {
-	return sc.regs[sc.assign[node]]
-}
+// Registry returns the metrics registry node's instruments live in: one
+// registry serves every node. Gauges must stay single-writer so a snapshot
+// does not depend on which node wrote last.
+func (sc *ShardedCluster) Registry(node int) *metrics.Registry { return sc.reg }
 
-// Snapshot merges the per-shard registries into one cluster-wide snapshot
-// stamped at. Counters and histogram buckets add and gauges are
-// single-writer, so the merged result is independent of the shard layout.
-// Only legal at a barrier (between RunUntil slices) or after the run.
+// Snapshot returns the cluster-wide snapshot stamped at. Only legal at a
+// barrier (between RunUntil slices) or after the run.
 func (sc *ShardedCluster) Snapshot(at time.Duration) metrics.Snapshot {
-	snaps := make([]metrics.Snapshot, 0, len(sc.regs))
-	for _, r := range sc.regs {
-		snaps = append(snaps, r.Snapshot(at))
-	}
-	return metrics.Merge(snaps...)
+	return sc.reg.Snapshot(at)
 }
 
 // NewFabric builds a ShardFabric over this cluster for a link kind, checking
@@ -183,7 +174,7 @@ func (sc *ShardedCluster) Run() time.Duration { return sc.Kernel.Run() }
 // horizons are the barrier-safe instants to stream snapshots at.
 func (sc *ShardedCluster) RunUntil(d time.Duration) time.Duration { return sc.Kernel.RunUntil(d) }
 
-// Close releases the kernel's worker goroutines.
+// Close ends the kernel: the cluster cannot run afterwards.
 func (sc *ShardedCluster) Close() { sc.Kernel.Close() }
 
 // ShardEnv is the exec.Env for processes on a sharded cluster: bound to a

@@ -20,8 +20,8 @@ const (
 // runShardClusterScenario runs a request/response scenario across nodes on
 // the sharded stack: every node's client process sends fixed-size requests
 // over the IB fabric to a server process on node 0, which does simulated CPU
-// work and replies. Metrics land in the per-shard registries; the merged
-// snapshot must be byte-identical for every layout.
+// work and replies. Metrics land in the cluster's registry; its snapshot
+// must be byte-identical for every layout.
 func runShardClusterScenario(t *testing.T, shards, procs int) ([]byte, time.Duration) {
 	t.Helper()
 	prev := runtime.GOMAXPROCS(procs)

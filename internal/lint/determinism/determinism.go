@@ -18,9 +18,11 @@
 //     At/After/Post/PostAt/LocalAt/Push/Emit): map iteration order varies
 //     between runs, so such loops must iterate a sorted key slice instead;
 //   - select statements with more than one communication case (S22): when
-//     several cases are ready the runtime picks uniformly at random, so
-//     shard-worker hand-offs must use a single-case receive (or the
-//     deterministic mailbox/queue primitives) instead.
+//     several cases are ready the runtime picks uniformly at random, so any
+//     goroutine hand-off a simulated result depends on must use a
+//     single-case receive (or the kernel's deterministic queue primitives)
+//     instead. The sharded kernel itself no longer hands off between
+//     goroutines (S37); the rule guards whatever code adds one.
 //
 // Real-mode code that legitimately reads the wall clock (internal/exec's
 // RealEnv) carries an allowlist marker with a justification:

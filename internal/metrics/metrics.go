@@ -91,7 +91,7 @@ func (g *Gauge) Value() int64 {
 // Histogram accumulates a value distribution over fixed bucket bounds.
 // Bounds are inclusive upper edges in ascending order; one implicit overflow
 // bucket catches everything above the last bound. Fixed bounds keep
-// snapshots mergeable across registries and diffable across runs.
+// snapshots diffable across runs and a delta stream foldable.
 type Histogram struct {
 	mu        sync.Mutex
 	bounds    []int64
@@ -235,7 +235,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 // Histogram returns (creating if needed) the named histogram. The bounds
 // apply only on creation; asking again for an existing name with different
 // bounds panics, since mixing bucket layouts under one name would make the
-// series unmergeable.
+// series impossible to diff or fold.
 func (r *Registry) Histogram(name string, bounds []int64) *Histogram {
 	if r == nil {
 		return nil

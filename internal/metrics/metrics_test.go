@@ -106,24 +106,10 @@ func TestQuantileEdgeCases(t *testing.T) {
 	}
 }
 
-func TestMergeAndDiff(t *testing.T) {
-	a, b := New(), New()
+func TestDiff(t *testing.T) {
+	a := New()
 	a.Counter("n").Add(3)
-	b.Counter("n").Add(4)
-	a.Gauge("g").Set(2)
-	b.Gauge("g").Set(5)
 	a.Histogram("h", nil).Observe(int64(time.Millisecond))
-	b.Histogram("h", nil).Observe(int64(time.Second))
-	m := Merge(a.Snapshot(time.Second), b.Snapshot(2*time.Second))
-	if m.Counters["n"] != 7 || m.Gauges["g"] != 7 || m.Histograms["h"].Count != 2 {
-		t.Errorf("merge wrong: %+v", m)
-	}
-	if m.AtNS != int64(2*time.Second) {
-		t.Errorf("merge At = %d", m.AtNS)
-	}
-	if m.Histograms["h"].Min != int64(time.Millisecond) || m.Histograms["h"].Max != int64(time.Second) {
-		t.Errorf("merge min/max wrong: %+v", m.Histograms["h"])
-	}
 
 	before := a.Snapshot(0)
 	a.Counter("n").Add(10)

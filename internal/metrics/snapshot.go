@@ -77,64 +77,6 @@ func (h HistSnapshot) Quantile(q float64) int64 {
 	return h.Max
 }
 
-// merge folds o into h (bounds must match).
-func (h HistSnapshot) merge(o HistSnapshot) HistSnapshot {
-	if o.Count == 0 {
-		return h
-	}
-	if h.Count == 0 {
-		return o
-	}
-	if !equalBounds(h.Bounds, o.Bounds) {
-		panic("metrics: merging histograms with different bounds")
-	}
-	out := HistSnapshot{
-		Bounds: h.Bounds,
-		Counts: append([]int64(nil), h.Counts...),
-		Count:  h.Count + o.Count,
-		Sum:    h.Sum + o.Sum,
-		Min:    h.Min,
-		Max:    h.Max,
-	}
-	for i, n := range o.Counts {
-		out.Counts[i] += n
-	}
-	if o.Min < out.Min {
-		out.Min = o.Min
-	}
-	if o.Max > out.Max {
-		out.Max = o.Max
-	}
-	return out
-}
-
-// Merge combines snapshots from several registries (or several runs) into
-// one: counters and histogram buckets add, gauges add (each registry's level
-// contributes to the aggregate), and the timestamp is the latest. Merging
-// histograms with mismatched bounds panics.
-func Merge(snaps ...Snapshot) Snapshot {
-	out := Snapshot{
-		Counters:   map[string]int64{},
-		Gauges:     map[string]int64{},
-		Histograms: map[string]HistSnapshot{},
-	}
-	for _, s := range snaps {
-		if s.AtNS > out.AtNS {
-			out.AtNS = s.AtNS
-		}
-		for name, v := range s.Counters {
-			out.Counters[name] += v
-		}
-		for name, v := range s.Gauges {
-			out.Gauges[name] += v
-		}
-		for name, h := range s.Histograms {
-			out.Histograms[name] = out.Histograms[name].merge(h)
-		}
-	}
-	return out
-}
-
 // Diff returns s minus prev for counters and histograms (gauges keep their
 // level from s) — the per-interval view a sequence of JSONL snapshots is
 // meant to support.

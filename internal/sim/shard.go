@@ -1,25 +1,24 @@
-// Sharded discrete-event kernel (DESIGN.md S22).
+// Sharded discrete-event kernel (DESIGN.md S22, S37).
 //
 // ShardedSim partitions a simulation into shards, each owning a disjoint set
-// of nodes and its own event heap (an embedded single-threaded Sim). Shard 0
-// runs on the coordinator, every other shard on a dedicated worker
-// goroutine. Shards synchronize with a conservative lookahead/barrier
-// protocol: every round the coordinator computes the earliest pending event
-// time Tmin across all shards, opens the window [Tmin, Tmin+lookahead), and
-// runs shard 0's window while the workers run theirs in parallel.
-// Cross-shard events flow through lock-free MPSC mailboxes and may not be
-// scheduled earlier than one lookahead after they are sent, so nothing
-// posted during a window can land inside it; the barrier then drains each
-// mailbox and merges its messages into the owning heap in deterministic
-// (time, srcNode, srcSeq) order.
+// of nodes and its own event heap (an embedded single-threaded Sim). Shards
+// synchronize with a conservative lookahead/barrier protocol: every round
+// computes the earliest pending event time Tmin across all shards, opens the
+// window [Tmin, Tmin+lookahead), and runs each shard's window in turn on the
+// caller's goroutine. Cross-shard events go into the destination shard's
+// mailbox and may not be scheduled earlier than one lookahead after they are
+// sent, so nothing posted during a window can land inside it; the barrier
+// then merges each mailbox into the owning heap in deterministic
+// (time, srcNode, srcSeq) order. Mailboxes are merged only at the barrier,
+// never between two shards' windows, so a message posted in a round never
+// becomes visible inside it.
 //
 // Determinism contract: provided scenario code keeps node state inside the
 // owning shard, routes every cross-node interaction through Post (or a layer
 // built on it, like netsim.ShardFabric), and draws randomness from per-node
-// streams (SubRand), a run is bit-identical for ANY shard count and ANY
-// GOMAXPROCS — the merge key (time, srcNode, srcSeq) and the window
-// boundaries (the global Tmin sequence) are both independent of how nodes
-// are grouped and of how the OS schedules the workers.
+// streams (SubRand), a run is bit-identical for ANY shard count — the merge
+// key (time, srcNode, srcSeq) and the window boundaries (the global Tmin
+// sequence) are both independent of how nodes are grouped.
 package sim
 
 import (
@@ -51,43 +50,39 @@ func SubRand(seed int64, stream int64) *rand.Rand {
 type Shard struct {
 	id    int
 	sim   *Sim
-	inbox Mailbox
+	inbox mailbox
 }
 
 // Sim returns the shard's sequential kernel. Scheduling on it (At, After,
 // Spawn, NewQueue, NewResource) is only safe from the shard's own window
-// (its events and processes) or between coordinator rounds.
+// (its events and processes) or between RunUntil calls.
 func (sh *Shard) Sim() *Sim { return sh.sim }
 
 // merge drains the inbox and schedules every message on the shard heap in
-// deterministic order. Coordinator context only. barrier is the end of the
-// window just completed: a message delivered before it would have had to run
-// inside a window that is already over, i.e. the sender posted less than one
+// deterministic order. Barrier only. barrier is the end of the window just
+// completed: a message delivered before it would have had to run inside a
+// window that is already over, i.e. the sender posted less than one
 // lookahead ahead.
 func (sh *Shard) merge(barrier time.Duration) int {
-	msgs := sh.inbox.Drain()
+	msgs := sh.inbox.drain()
 	for _, m := range msgs {
-		if m.At < barrier {
+		if m.at < barrier {
 			panic(fmt.Sprintf("sim: cross-shard message to shard %d violates lookahead: deliver at %v but the window up to %v already ran (sender must post at least one lookahead ahead)",
-				sh.id, m.At, barrier))
+				sh.id, m.at, barrier))
 		}
-		sh.sim.At(m.At, m.Fn)
+		sh.sim.At(m.at, m.fn)
 	}
+	clear(msgs) // the reused array must not keep delivered closures alive
 	return len(msgs)
 }
 
 // ShardedSim is the sharded event kernel. Create with NewSharded, register
 // initial events/processes on the per-shard Sims, then drive with Run or
-// RunUntil; Close parks and releases the workers.
+// RunUntil; after Close it cannot run again.
 type ShardedSim struct {
 	shards []*Shard
 	look   time.Duration
-
-	work    []chan time.Duration // work[i] feeds shard i's worker; work[0] is nil
-	done    chan int
-	panics  []any
-	started bool
-	closed  bool
+	closed bool
 
 	barriers int64
 	merged   int64
@@ -124,13 +119,13 @@ func (ss *ShardedSim) Shard(i int) *Shard { return ss.shards[i] }
 func (ss *ShardedSim) Lookahead() time.Duration { return ss.look }
 
 // Post delivers fn to shard dst at virtual time at. It is the only legal way
-// to touch another shard's state: fn runs in the destination worker's
-// context after the barrier merge. at must be at least one lookahead after
+// to touch another shard's state: fn runs in the destination shard's window
+// after the barrier merge. at must be at least one lookahead after
 // the sender's current time (the merge panics otherwise). srcNode/srcSeq
 // form the deterministic merge key; srcSeq must be drawn from a per-node
 // counter owned by the sending node's shard.
 func (ss *ShardedSim) Post(dst int, at time.Duration, srcNode int, srcSeq uint64, fn func()) {
-	ss.shards[dst].inbox.Push(at, srcNode, srcSeq, fn)
+	ss.shards[dst].inbox.push(at, srcNode, srcSeq, fn)
 }
 
 // Barriers reports how many synchronization rounds have run. The barrier
@@ -143,57 +138,19 @@ func (ss *ShardedSim) Barriers() int64 { return ss.barriers }
 // must never feed a replay-compared output; it is an engine statistic.
 func (ss *ShardedSim) MergedMessages() int64 { return ss.merged }
 
-func (ss *ShardedSim) start() {
-	if ss.started {
-		return
-	}
-	if ss.closed {
-		panic("sim: ShardedSim used after Close")
-	}
-	ss.started = true
-	ss.work = make([]chan time.Duration, len(ss.shards))
-	ss.done = make(chan int, len(ss.shards))
-	ss.panics = make([]any, len(ss.shards))
-	for i := 1; i < len(ss.shards); i++ {
-		ss.work[i] = make(chan time.Duration)
-		go ss.worker(i)
-	}
-}
-
-// worker is shard i's dedicated goroutine (i >= 1; the coordinator runs
-// shard 0 itself): it parks on the work channel, runs one window of the
-// shard's heap, and reports back.
-func (ss *ShardedSim) worker(i int) {
-	for w := range ss.work[i] {
-		ss.runWindow(i, w)
-		ss.done <- i
-	}
-}
-
-// runWindow runs shard i's events before w. A panic inside the shard (a
-// simulated process failing) is captured and re-raised by the coordinator
-// once every shard has finished the window, so the barrier never deadlocks
-// on a dead worker.
-func (ss *ShardedSim) runWindow(i int, w time.Duration) {
-	defer func() {
-		if r := recover(); r != nil {
-			ss.panics[i] = r
-		}
-	}()
-	ss.shards[i].sim.RunBefore(w)
-}
-
 // Run drives the simulation until no events remain anywhere.
 func (ss *ShardedSim) Run() time.Duration { return ss.RunUntil(-1) }
 
 // RunUntil drives the simulation up to and including events at the horizon
 // (negative: unbounded). It may be called repeatedly with growing horizons —
 // the idiom the streaming-metrics emitters use to snapshot at barrier-safe
-// instants.
+// instants. A process panic in any shard's window reaches the caller here.
 func (ss *ShardedSim) RunUntil(horizon time.Duration) time.Duration {
-	ss.start()
+	if ss.closed {
+		panic("sim: ShardedSim used after Close")
+	}
 	for {
-		// Barrier: workers are parked, so shard state is safe to touch.
+		// Barrier: no window is running, so shard state is safe to touch.
 		for _, sh := range ss.shards {
 			ss.merged += int64(sh.merge(ss.lastW))
 		}
@@ -214,20 +171,8 @@ func (ss *ShardedSim) RunUntil(horizon time.Duration) time.Duration {
 			w = horizon + 1
 		}
 		ss.lastW = w
-		// Shard 0 runs here rather than on a worker: one hand-off and one
-		// parked thread fewer per window.
-		for i := 1; i < len(ss.shards); i++ {
-			ss.work[i] <- w
-		}
-		ss.runWindow(0, w)
-		for i := 1; i < len(ss.shards); i++ {
-			<-ss.done
-		}
-		for i, p := range ss.panics {
-			if p != nil {
-				ss.panics[i] = nil
-				panic(p)
-			}
+		for _, sh := range ss.shards {
+			sh.sim.RunBefore(w)
 		}
 	}
 	return ss.Now()
@@ -245,16 +190,5 @@ func (ss *ShardedSim) Now() time.Duration {
 	return now
 }
 
-// Close releases the worker goroutines. The kernel cannot run afterwards.
-func (ss *ShardedSim) Close() {
-	if ss.closed {
-		return
-	}
-	ss.closed = true
-	if !ss.started {
-		return
-	}
-	for i := 1; i < len(ss.work); i++ {
-		close(ss.work[i])
-	}
-}
+// Close ends the kernel: it cannot run afterwards.
+func (ss *ShardedSim) Close() { ss.closed = true }

@@ -162,9 +162,9 @@ func TestShardedLookaheadViolationPanics(t *testing.T) {
 	ss.Run()
 }
 
-// A process panicking in a window, on the coordinator's own shard 0 or on a
-// worker's shard, surfaces from RunUntil with its message, and Close still
-// releases every worker.
+// A process panicking in a window, on the first shard or a later one,
+// surfaces from RunUntil with its message and leaves no goroutine behind
+// after Close.
 func TestShardedProcPanicReachesRunUntil(t *testing.T) {
 	for _, shard := range []int{0, 1} {
 		t.Run(fmt.Sprintf("shard%d", shard), func(t *testing.T) {
@@ -190,6 +190,47 @@ func TestShardedProcPanicReachesRunUntil(t *testing.T) {
 			ss.Close()
 			checkGoroutines(t, before, "Close")
 		})
+	}
+}
+
+// TestShardedRunStartsNoGoroutine: every shard's window runs on the caller's
+// goroutine. Four shards of callbacks post to each other; the goroutine count
+// inside a shard-3 callback and after RunUntil equals the count before
+// NewSharded.
+func TestShardedRunStartsNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	const shards = 4
+	ss := NewSharded(1, shards, time.Microsecond)
+	defer ss.Close()
+	var seq [shards]uint64
+	var hops [shards]int
+	inside := -1
+	var hop func(at int) func()
+	hop = func(at int) func() {
+		return func() {
+			hops[at]++
+			if at == 3 && inside < 0 {
+				inside = runtime.NumGoroutine()
+			}
+			if hops[at] < 50 {
+				to := (at + 1) % shards
+				seq[at]++
+				ss.Post(to, ss.Shard(at).Sim().Now()+time.Microsecond, at, seq[at], hop(to))
+			}
+		}
+	}
+	for i := 0; i < shards; i++ {
+		ss.Shard(i).Sim().At(0, hop(i))
+	}
+	ss.RunUntil(time.Second)
+	after := runtime.NumGoroutine()
+	for i, n := range hops {
+		if n != 50 {
+			t.Fatalf("shard %d ran %d hops, want 50", i, n)
+		}
+	}
+	if inside != before || after != before {
+		t.Fatalf("goroutines: %d before NewSharded, %d inside a shard-3 callback, %d after RunUntil", before, inside, after)
 	}
 }
 

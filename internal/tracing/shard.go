@@ -1,44 +1,38 @@
-// Per-shard span collection for the sharded kernel (DESIGN.md S22).
+// Span collection for the sharded kernel (DESIGN.md S22, S37).
 //
-// The Tracer/Sink pair serializes every span through one mutex and one
-// global ID counter — fine under the cooperative kernel, but a contention
-// point and a layout-dependence under sharded execution (a shared counter
-// hands out IDs in scheduling order, which varies with GOMAXPROCS). Sharded
-// scenarios instead append spans to per-shard buffers with no locking, give
-// spans IDs derived from node-local streams, and merge the buffers after the
-// run in deterministic (StartNS, Trace, ID) order.
+// The Tracer/Sink pair hands out span IDs from one global counter, in the
+// order spans start — an order that depends on how nodes are grouped into
+// shards, since each round runs the shards' windows one after another.
+// Sharded scenarios instead append spans to one buffer, give spans IDs
+// derived from node-local streams, and merge the buffer after the run in
+// deterministic (StartNS, Trace, ID) order.
 //
 // Volume is bounded by deterministic head sampling on the trace ID (a
-// splitmix64 hash, so the kept set is layout-invariant) plus a per-shard
-// buffer cap as a safety backstop. Cap overflow is counted, never silent —
-// but unlike sampling it is NOT layout-invariant, so replay-compared runs
-// must size the cap above the sampled volume (the hammer asserts zero drops).
+// splitmix64 hash, so the kept set is layout-invariant) plus a buffer cap as
+// a safety backstop. Cap overflow is counted, never silent — but unlike
+// sampling it keeps the first spans in execution order, which is NOT
+// layout-invariant, so replay-compared runs must stay under the cap (the
+// hammer asserts zero drops).
 package tracing
 
 import "sort"
 
-// ShardSpans collects spans from shard workers without synchronization:
-// shard i writes only to buffer i, and Merge runs after the workers park.
+// maxShardSpans caps a ShardSpans buffer.
+const maxShardSpans = 1 << 20
+
+// ShardSpans collects spans from every shard of a sharded run. The shards
+// run in turn on one goroutine, so Emit needs no synchronization.
 type ShardSpans struct {
-	bufs    [][]Span
+	buf     []Span
 	cap     int
-	drops   []int64
+	drops   int64
 	sampleN uint64
 }
 
-// NewShardSpans creates buffers for `shards` workers, each holding at most
-// maxPerShard spans (<=0: 1<<20). sampleN keeps roughly 1 in sampleN traces,
-// chosen by trace-ID hash (<=1 keeps all).
-func NewShardSpans(shards, maxPerShard int, sampleN uint64) *ShardSpans {
-	if maxPerShard <= 0 {
-		maxPerShard = 1 << 20
-	}
-	return &ShardSpans{
-		bufs:    make([][]Span, shards),
-		cap:     maxPerShard,
-		drops:   make([]int64, shards),
-		sampleN: sampleN,
-	}
+// NewShardSpans creates a span buffer. sampleN keeps roughly 1 in sampleN
+// traces, chosen by trace-ID hash (<=1 keeps all).
+func NewShardSpans(sampleN uint64) *ShardSpans {
+	return &ShardSpans{cap: maxShardSpans, sampleN: sampleN}
 }
 
 // Sampled reports whether a trace ID is in the kept set. Exported so call
@@ -47,37 +41,27 @@ func (ss *ShardSpans) Sampled(trace uint64) bool {
 	return ss.sampleN <= 1 || mix(trace)%ss.sampleN == 0
 }
 
-// Emit records one span from shard's worker. Only the owning shard may call
-// it for a given shard index.
-func (ss *ShardSpans) Emit(shard int, sp Span) {
+// Emit records one span.
+func (ss *ShardSpans) Emit(sp Span) {
 	if !ss.Sampled(sp.Trace) {
 		return
 	}
-	if len(ss.bufs[shard]) >= ss.cap {
-		ss.drops[shard]++
+	if len(ss.buf) >= ss.cap {
+		ss.drops++
 		return
 	}
-	ss.bufs[shard] = append(ss.bufs[shard], sp)
+	ss.buf = append(ss.buf, sp)
 }
 
-// Dropped sums cap-overflow drops across shards (barrier-safe).
-func (ss *ShardSpans) Dropped() int64 {
-	var n int64
-	for _, d := range ss.drops {
-		n += d
-	}
-	return n
-}
+// Dropped reports cap-overflow drops.
+func (ss *ShardSpans) Dropped() int64 { return ss.drops }
 
 // Merge emits every collected span through sink in deterministic
-// (StartNS, Trace, ID) order and returns the count. Call it after the run
-// (workers parked); the buffers are consumed.
+// (StartNS, Trace, ID) order and returns the count. Call it after the run;
+// the buffer is consumed.
 func (ss *ShardSpans) Merge(sink *Sink) int {
-	var all []Span
-	for i, b := range ss.bufs {
-		all = append(all, b...)
-		ss.bufs[i] = nil
-	}
+	all := ss.buf
+	ss.buf = nil
 	sort.Slice(all, func(i, j int) bool {
 		a, b := all[i], all[j]
 		if a.StartNS != b.StartNS {

@@ -6,9 +6,10 @@ import (
 	"testing"
 )
 
-// TestShardSpansMergeOrder: spans emitted to different shards in arbitrary
-// order come out of Merge sorted by (StartNS, Trace, ID) regardless of which
-// shard held them — the layout-invariance Merge provides.
+// TestShardSpansMergeOrder: spans emitted in arbitrary order come out of
+// Merge sorted by (StartNS, Trace, ID) regardless of the order they were
+// emitted in (which follows the shard layout) — the layout-invariance Merge
+// provides.
 func TestShardSpansMergeOrder(t *testing.T) {
 	spans := []Span{
 		{Trace: 9, ID: 2, Name: "c", StartNS: 300},
@@ -16,12 +17,12 @@ func TestShardSpansMergeOrder(t *testing.T) {
 		{Trace: 3, ID: 2, Name: "b", StartNS: 100},
 		{Trace: 1, ID: 1, Name: "d", StartNS: 300},
 	}
-	// Two layouts: everything on one shard vs. scattered over four.
+	// Two emission orders, as two shard layouts would run them.
 	var outs []string
-	for _, assign := range [][]int{{0, 0, 0, 0}, {3, 1, 0, 2}} {
-		ss := NewShardSpans(4, 0, 1)
-		for i, sp := range spans {
-			ss.Emit(assign[i], sp)
+	for _, order := range [][]int{{0, 1, 2, 3}, {3, 1, 0, 2}} {
+		ss := NewShardSpans(1)
+		for _, i := range order {
+			ss.Emit(spans[i])
 		}
 		var buf bytes.Buffer
 		sink := NewSink(&buf, SinkOptions{})
@@ -32,7 +33,7 @@ func TestShardSpansMergeOrder(t *testing.T) {
 		outs = append(outs, buf.String())
 	}
 	if outs[0] != outs[1] {
-		t.Fatalf("merge output depends on shard layout:\n%s\nvs\n%s", outs[0], outs[1])
+		t.Fatalf("merge output depends on emission order:\n%s\nvs\n%s", outs[0], outs[1])
 	}
 	var names []string
 	for _, line := range strings.Split(strings.TrimSpace(outs[0]), "\n") {
@@ -50,7 +51,7 @@ func TestShardSpansMergeOrder(t *testing.T) {
 // TestShardSpansSamplingLayoutInvariant: the kept set depends only on the
 // trace ID hash, never on the emitting shard.
 func TestShardSpansSamplingLayoutInvariant(t *testing.T) {
-	ss := NewShardSpans(2, 0, 4)
+	ss := NewShardSpans(4)
 	kept := 0
 	for trace := uint64(1); trace <= 256; trace++ {
 		a, b := ss.Sampled(trace), ss.Sampled(trace)
@@ -65,25 +66,32 @@ func TestShardSpansSamplingLayoutInvariant(t *testing.T) {
 	if kept < 32 || kept > 128 {
 		t.Fatalf("kept %d of 256 traces at sampleN=4, want roughly a quarter", kept)
 	}
-	if !NewShardSpans(1, 0, 1).Sampled(7) {
+	if !NewShardSpans(1).Sampled(7) {
 		t.Fatal("sampleN<=1 must keep every trace")
 	}
 }
 
-// TestShardSpansCapCountsDrops: overflow past the per-shard cap is counted,
-// never silent.
+// TestShardSpansCapCountsDrops: overflow past the buffer cap is counted,
+// never silent, and the spans under the cap still merge.
 func TestShardSpansCapCountsDrops(t *testing.T) {
-	ss := NewShardSpans(2, 3, 1)
-	for i := 0; i < 5; i++ {
-		ss.Emit(0, Span{Trace: uint64(i + 1), ID: 1, StartNS: int64(i)})
+	ss := NewShardSpans(1)
+	if ss.cap != maxShardSpans {
+		t.Fatalf("cap %d, want %d", ss.cap, maxShardSpans)
 	}
-	ss.Emit(1, Span{Trace: 99, ID: 1})
+	ss.cap = 3 // the real cap is 1<<20 spans; a small one keeps the test cheap
+	for i := 0; i < 5; i++ {
+		ss.Emit(Span{Trace: uint64(i + 1), ID: 1, StartNS: int64(i)})
+	}
 	if got := ss.Dropped(); got != 2 {
 		t.Fatalf("Dropped() = %d, want 2 (5 emits against cap 3)", got)
 	}
 	var buf bytes.Buffer
 	sink := NewSink(&buf, SinkOptions{})
-	if n := ss.Merge(sink); n != 4 {
-		t.Fatalf("merged %d spans, want 4 (3 kept on shard 0 + 1 on shard 1)", n)
+	if n := ss.Merge(sink); n != 3 {
+		t.Fatalf("merged %d spans, want the 3 under the cap", n)
+	}
+	sink.Close()
+	if strings.Count(buf.String(), "\n") != 3 {
+		t.Fatalf("sink wrote %q, want 3 span lines", buf.String())
 	}
 }
