@@ -18,7 +18,6 @@ func main() {
 	experiment := flag.String("experiment", "all",
 		"which experiment to run: latency | throughput | threshold | pool | readers | hammer | all")
 	iters := flag.Int("iters", 200, "calls per measurement")
-	shards := flag.Int("shards", 1, "hammer: shard count for the sharded kernel")
 	hammerNodes := flag.Int("hammer-nodes", 1000, "hammer: cluster size incl. the NameNode")
 	hammerClients := flag.Int("hammer-clients", 100000, "hammer: total closed-loop clients")
 	hammerDuration := flag.Duration("hammer-duration", 20*time.Millisecond, "hammer: virtual run length")
@@ -27,7 +26,6 @@ func main() {
 	hammerConnCache := flag.Int("hammer-conn-cache", 4096, "hammer: server session-cache (LRU) capacity under -hammer-scaleout")
 	hammerSRQDepth := flag.Int("hammer-srq-depth", 0, "hammer: shared receive queue depth (0 = 8x handlers)")
 	hammerBudget := flag.Int64("hammer-budget-bytes", 0, "hammer: registered recv-memory budget in bytes (0 = depth x buffer size)")
-	metricsStream := flag.String("metrics-stream", "", "hammer: stream snapshot-delta JSONL to this path (fold with metrics.FoldStream)")
 	harness := bench.RegisterFlags(flag.CommandLine, true)
 	flag.Parse()
 	harness.Start()
@@ -59,17 +57,18 @@ func main() {
 		fmt.Println()
 		any = true
 	}
-	if run("hammer") && *experiment == "hammer" {
+	if *experiment == "hammer" {
 		// The scale scenario runs only when asked for by name: at the default
 		// 1000 nodes / 100K clients it is far heavier than the paper figures.
-		scale := hammerScale{
-			on: *hammerScaleOut, muxCap: *hammerMuxCap, connCache: *hammerConnCache,
-			srqDepth: *hammerSRQDepth, budget: *hammerBudget,
+		cfg := bench.HammerConfig{Nodes: *hammerNodes, Clients: *hammerClients, Duration: *hammerDuration}
+		if *hammerScaleOut {
+			cfg.ScaleOut = true
+			cfg.QPMuxCap, cfg.ConnCacheCap = *hammerMuxCap, *hammerConnCache
+			cfg.SRQDepth, cfg.MemBudget = *hammerSRQDepth, *hammerBudget
 		}
-		if err := runHammer(*shards, *hammerNodes, *hammerClients, *hammerDuration, *metricsStream, scale); err != nil {
-			fmt.Fprintf(os.Stderr, "hammer: %v\n", err)
-			os.Exit(1)
-		}
+		start := time.Now()
+		res := harness.RunHammer(cfg)
+		bench.HammerReport(os.Stdout, cfg, res, time.Since(start))
 		any = true
 	}
 	if !any {

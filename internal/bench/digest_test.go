@@ -8,7 +8,7 @@ import (
 )
 
 // hammerDigests hashes every replay-compared output of one hammer run: the
-// streamed metrics JSONL, the merged trace JSONL and the scalar summary.
+// metrics event log, the trace JSONL and the scalar summary.
 func hammerDigests(run hammerRun) [3]string {
 	sum := func(s string) string {
 		h := sha256.Sum256([]byte(s))
@@ -17,28 +17,32 @@ func hammerDigests(run hammerRun) [3]string {
 	return [3]string{sum(run.metricsJSON), sum(run.traceJSON), sum(fmt.Sprint(scaleScalars(run.res)))}
 }
 
-// TestHammerOutputDigest pins the hammer's outputs across commits, where the
-// layout tests (TestHammerReplayAcrossLayouts, TestSRQReplayAcrossLayouts)
-// compare runs within one commit only. The digests were recorded at commit
-// 66a8d3997d2b6dcd8720ab7a215c2f920f7e3f64, whose sharded kernel ran shards
-// on worker goroutines and merged per-shard registries and span buffers; a
-// change to the kernel, the fabric, the registry or the span merge that
-// moves one simulated event, metric or span fails here.
+// TestHammerOutputDigest pins the hammer's outputs across commits, where
+// TestHammerReplay compares two runs within one commit only. A change to the
+// kernel, the fabric, the registry or the tracer that moves one simulated
+// event, metric or span fails here.
+//
+// The digests were re-recorded once when the hammer moved from the sharded
+// kernel onto one sim.Sim (DESIGN.md S38): one (at, seq) event order and one
+// random stream replaced the per-node streams and the mailbox merge, the
+// cluster's native-IB netsim.Fabric replaced the sharded fabric, the
+// harness's metrics log replaced the streamed snapshot deltas, and tracer
+// span IDs replaced trace IDs hashed from (seed, client, call).
 func TestHammerOutputDigest(t *testing.T) {
 	cases := []struct {
 		name string
 		run  func() hammerRun
 		want [3]string
 	}{
-		{"hammer", func() hammerRun { return runHammer(t, 4, 4) }, [3]string{
-			"07e177b70c93368cae61b86e2b386454937fb2ae76bd6cbc3a48ce1d1a6436c1",
-			"d27b060fc46e182976372785486465d2f25a66d0326793350bffae40822d02a3",
-			"749e9e2a7bff36f2edc33296144d141197d4bba0f00e7693afc910a13b202861",
+		{"hammer", func() hammerRun { return runHammer(t, hammerCfg(), 4) }, [3]string{
+			"4d9e2f8c955fb9194391d4e328142d714740a22549ed554306e3f02d7acc202b",
+			"ed438b1b27e1ece05a1187ae5e67c712eaa581858b6c3f601522d8a86e6cced5",
+			"102879af1fcaed0986ac2e5d0d5c8b18c31e5d276c55ed96fa6da2e5c08e2b8c",
 		}},
-		{"scaleout", func() hammerRun { return runScaleHammer(t, scaleCfg(4), 4) }, [3]string{
-			"fd3dd44a9ce22234c318f35dadaebdd8d467a68839bb7803f268befa29a3db08",
-			"e98722777db998ba65afcd84a0964f9204f0f918b2ae100933ad5d500a34fd04",
-			"ad7e512a662d0119cd8df8ec9098e6d1c49d832d9d8dcd6314e1e2252b69ce35",
+		{"scaleout", func() hammerRun { return runHammer(t, scaleCfg(), 8) }, [3]string{
+			"0f0789d256b9f538208b4337268f112150f063f5750386635f20b447d75c6502",
+			"2e4fd0a3be87e41f55fd94c5c5cf3d1801d6c6a984436d3dd2b4773ec184cd53",
+			"73335a7adcc52b2bc188e5436284b126b5917a0cf1612d1af274cad7159a4e2b",
 		}},
 	}
 	for _, c := range cases {

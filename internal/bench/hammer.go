@@ -1,18 +1,14 @@
-// The NameNode hammer: the S22 scale scenario exercising the sharded kernel
-// (sim.ShardedSim via cluster.ShardedCluster), the sharded fabric
-// (netsim.ShardFabric), streamed constant-memory metrics
-// (metrics.StreamSink), and the sharded span buffer (tracing.ShardSpans) in
-// one closed loop — the ROADMAP's 1000-node, 100K-client target, far past
-// the paper's 65-node testbed.
+// The NameNode hammer: the scale scenario far past the paper's 65-node
+// testbed — the ROADMAP's 1000-node, 100K-client target and, with ScaleOut,
+// the million-client proof of the S23 connection caps.
 //
 // Shape: node 0 is the NameNode, running a pool of handler processes that
 // drain one shared call queue, charge CPU per request, and reply over the
-// fabric; every other node hosts a slice of event-driven clients (no
-// goroutine stacks — 100K client processes would dominate memory under
-// -race) that send fixed-size requests in a closed loop with think time.
-// All randomness comes from per-node streams and all cross-node traffic
-// rides the fabric, so the run is byte-identical for any shard count and
-// any GOMAXPROCS — asserted by TestHammerReplayAcrossLayouts.
+// cluster's native-IB fabric; every other node hosts a slice of event-driven
+// clients (no goroutine stacks — 100K client processes would dominate memory
+// under -race) that send fixed-size requests in a closed loop with think
+// time. The run is one sim.Sim: every random draw comes from its one stream
+// in event order, so a seed replays byte for byte (TestHammerReplay).
 package bench
 
 import (
@@ -25,8 +21,6 @@ import (
 	"rpcoib/internal/exec"
 	"rpcoib/internal/ibverbs"
 	"rpcoib/internal/metrics"
-	"rpcoib/internal/perfmodel"
-	"rpcoib/internal/sim"
 	"rpcoib/internal/tracing"
 )
 
@@ -56,22 +50,15 @@ const busyRespBytes = 16
 type HammerConfig struct {
 	Nodes   int   // hosts incl. the NameNode (default 64, min 2)
 	Clients int   // total clients over nodes 1..Nodes-1 (default 4×nodes)
-	Shards  int   // kernel shards (default 1)
 	Seed    int64 // simulation seed (default 1)
 
-	Duration      time.Duration // virtual run length (default 50ms)
-	SnapshotEvery time.Duration // streamed snapshot cadence (default 5ms)
+	Duration time.Duration // virtual run length (default 50ms)
 
 	Handlers    int           // NameNode handler processes (default 64)
 	ReqSize     int           // request payload bytes (default 256)
 	RespSize    int           // response payload bytes (default 128)
 	ThinkTime   time.Duration // mean client think between calls (default 10ms)
 	ServiceTime time.Duration // mean NameNode CPU per call (default 2µs)
-
-	TraceSampleN uint64 // keep ~1 in N traces (default 64; 1 keeps all)
-
-	MetricsSink *metrics.StreamSink // optional: streamed snapshot deltas
-	TraceSink   *tracing.Sink       // optional: merged spans after the run
 
 	// ScaleOut arms the S23 connection scale-out model at the NameNode
 	// (DESIGN.md S23): every client attaches a session in a bounded
@@ -100,17 +87,11 @@ func (cfg *HammerConfig) defaults() {
 	if cfg.Clients <= 0 {
 		cfg.Clients = 4 * cfg.Nodes
 	}
-	if cfg.Shards < 1 {
-		cfg.Shards = 1
-	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
 	if cfg.Duration <= 0 {
 		cfg.Duration = 50 * time.Millisecond
-	}
-	if cfg.SnapshotEvery <= 0 {
-		cfg.SnapshotEvery = 5 * time.Millisecond
 	}
 	if cfg.Handlers <= 0 {
 		cfg.Handlers = 64
@@ -126,9 +107,6 @@ func (cfg *HammerConfig) defaults() {
 	}
 	if cfg.ServiceTime <= 0 {
 		cfg.ServiceTime = 2 * time.Microsecond
-	}
-	if cfg.TraceSampleN == 0 {
-		cfg.TraceSampleN = 64
 	}
 	if cfg.StartSpread <= 0 {
 		cfg.StartSpread = cfg.ThinkTime
@@ -160,14 +138,10 @@ func (cfg *HammerConfig) defaults() {
 
 // HammerResult summarizes one run.
 type HammerResult struct {
-	End       time.Duration    // virtual time of the last processed event
-	Calls     int64            // completed calls (client side)
-	Served    int64            // requests served (NameNode side)
-	Final     metrics.Snapshot // merged cluster snapshot at Duration
-	Snapshots int64            // streamed snapshot deltas emitted
-	Spans     int              // spans merged into the trace sink
-	SpanDrops int64            // span-buffer overflow (0 in replay-compared runs)
-	Barriers  int64            // kernel synchronization rounds (layout-invariant)
+	End    time.Duration    // virtual time the run stopped at
+	Calls  int64            // completed calls (client side)
+	Served int64            // requests served (NameNode side)
+	Final  metrics.Snapshot // the registry at End (with metrics on, cumulative over the harness's runs)
 
 	// Scale-out proof points, zero unless ScaleOut: the S23 tests assert
 	// the footprint bounds directly on these (and on the Final snapshot's
@@ -183,11 +157,9 @@ type HammerResult struct {
 }
 
 // hammerReq is one in-flight request: where it came from and how to answer.
-// respond is a client-shard closure carried opaquely through the server; it
-// is invoked with false when the NameNode shed the call.
+// respond is invoked with false when the NameNode shed the call.
 type hammerReq struct {
 	src     int
-	client  int
 	respond func(ok bool)
 	cr      *ibverbs.SRQCredit // WQE held while the request waits (ScaleOut)
 }
@@ -199,15 +171,14 @@ type hammerSession struct {
 	cr *ibverbs.SRQCredit
 }
 
-// hammerScale is the NameNode-side scale-out machinery. Every field is only
-// touched from shard 0 (fabric deliveries to node 0 and the handler procs),
-// so the gauges inside keep their single-writer discipline.
+// hammerScale is the NameNode-side scale-out machinery.
 type hammerScale struct {
 	budget *ibverbs.MemoryBudget
 	srq    *ibverbs.SRQ
 	mux    *ibverbs.QPMux
 	cache  *core.ConnCache
-	shed   *metrics.Counter
+	shed   *metrics.Counter // arrivals shed at the NameNode
+	busy   *metrics.Counter // busy responses clients retried
 }
 
 // attach resolves the client's cached session, creating (and possibly
@@ -221,28 +192,28 @@ func (s *hammerScale) attach(client int) *hammerSession {
 	return v.(*hammerSession)
 }
 
-// RunHammer executes the scenario and returns its summary. The caller owns
-// the sinks (Close them after; StreamSink's overflow line is written there).
-func RunHammer(cfg HammerConfig) HammerResult {
+// RunHammer executes the scenario and returns its summary. Its counters go
+// into the harness registry (a private one when metrics are off), its
+// hammer.call spans through the harness tracer, and the run is logged as
+// "hammer".
+func (h *Harness) RunHammer(cfg HammerConfig) HammerResult {
 	cfg.defaults()
-
+	h = h.withRegistry()
 	cc := cluster.ClusterA(cfg.Nodes)
 	cc.Seed = cfg.Seed
-	cc.Shards = cfg.Shards
-	sc := cluster.NewSharded(cc, perfmodel.Link(perfmodel.NativeIB).Latency)
-	defer sc.Close()
-	fab := sc.NewFabric(perfmodel.NativeIB)
-	spans := tracing.NewShardSpans(cfg.TraceSampleN)
-	if cfg.MetricsSink != nil {
-		cfg.MetricsSink.Instrument(sc.Registry(0))
-	}
+	c := cluster.New(cc)
+	fab := c.IBRailFabric(0)
+	rng := c.Sim.Rand()
+	reg := h.reg
+	calls := reg.Counter(HammerCallsMetric)
+	payload := reg.Counter(HammerBytesMetric)
+	latency := reg.Histogram(HammerLatencyMetric, nil)
+	served := reg.Counter(HammerServedMetric)
 
-	// Scale-out state lives outside the kernel (plain mutex accounting), but
-	// all operational writes happen on shard 0. Instruments register before
-	// the run so the families appear even in all-zero snapshots.
+	// Instruments register before the run so the families appear even in
+	// all-zero snapshots.
 	var scale *hammerScale
 	if cfg.ScaleOut {
-		reg := sc.Registry(0)
 		budget := ibverbs.NewMemoryBudget(cfg.MemBudget)
 		budget.Instrument(reg)
 		srq := ibverbs.NewSRQ(cfg.SRQDepth, cfg.SRQCredit, cfg.SRQBufBytes, budget)
@@ -257,20 +228,16 @@ func RunHammer(cfg HammerConfig) HammerResult {
 			srq.Detach(sess.cr)
 		})
 		scale = &hammerScale{budget: budget, srq: srq, mux: mux, cache: cache,
-			shed: reg.Counter(HammerShedMetric)}
-		reg.Counter(HammerBusyMetric) // client-side family; pre-register for snapshots
+			shed: reg.Counter(HammerShedMetric), busy: reg.Counter(HammerBusyMetric)}
 	}
 
 	// NameNode: one shared unbounded call queue drained by handler processes.
-	// nnq is written once in the first window (t=0) and read by fabric
-	// deliveries that cannot arrive before one link latency — all on shard 0.
+	// nnq is made at t=0, before any request can cross the fabric.
 	var nnq exec.Queue
-	sc.SpawnOn(0, "namenode", func(e exec.Env) {
+	c.SpawnOn(0, "namenode", func(e exec.Env) {
 		nnq = e.NewQueue(0)
-		reg := sc.Registry(0)
-		served := reg.Counter(HammerServedMetric)
-		for h := 0; h < cfg.Handlers; h++ {
-			e.Spawn(fmt.Sprintf("handler-%d", h), func(he exec.Env) {
+		for i := 0; i < cfg.Handlers; i++ {
+			e.Spawn(fmt.Sprintf("handler-%d", i), func(he exec.Env) {
 				for {
 					v, ok := nnq.Get(he)
 					if !ok {
@@ -278,107 +245,70 @@ func RunHammer(cfg HammerConfig) HammerResult {
 					}
 					req := v.(*hammerReq)
 					// Half fixed, half jitter: a lookup with variable work.
-					he.Work(cfg.ServiceTime/2 + time.Duration(he.Rand().Int63n(int64(cfg.ServiceTime))))
+					he.Work(cfg.ServiceTime/2 + time.Duration(rng.Int63n(int64(cfg.ServiceTime))))
 					if req.cr != nil {
 						scale.srq.Release(req.cr) // WQE reposts once service is done
 					}
 					served.Inc()
-					fab.Send(0, req.src, cfg.RespSize, func() { req.respond(true) })
+					fab.Transfer(0, req.src, cfg.RespSize, func() { req.respond(true) })
 				}
 			})
 		}
 	})
 
 	// Clients: event-driven closed loops, round-robin over nodes 1..N-1.
-	// Trace IDs derive from (seed, client, call) alone, so the sampled set is
-	// identical across layouts.
 	for i := 0; i < cfg.Clients; i++ {
-		clientID := i
+		client := i
 		node := 1 + i%(cfg.Nodes-1)
 		var call func()
-		var seq int64
 		call = func() {
-			start := sc.NowAt(node)
+			start := c.Sim.Now()
 			if start >= cfg.Duration {
 				return
 			}
-			seq++
-			trace := uint64(sim.SubSeed(sim.SubSeed(cfg.Seed, 1_000_000_000+int64(clientID)), seq))
+			sp := h.tracer.Start("hammer.call", "client", tracing.SpanContext{}, start)
 			respond := func(ok bool) {
-				end := sc.NowAt(node)
-				reg := sc.Registry(node)
+				end := c.Sim.Now()
 				if !ok {
 					// Shed at the NameNode: count the busy response and retry
 					// after a backoff (half fixed, half jitter — the S19 retry
-					// shape). The retry is a fresh call with a fresh trace ID.
-					reg.Counter(HammerBusyMetric).Inc()
-					backoff := cfg.BackoffTime/2 + time.Duration(sc.NodeRand(node).Int63n(int64(cfg.BackoffTime)))
-					sc.LocalAt(node, end+backoff, call)
+					// shape). The retry is a fresh call with a span of its own.
+					sp.SetAttr("status", "busy")
+					sp.EndAt(end)
+					scale.busy.Inc()
+					c.Sim.At(end+cfg.BackoffTime/2+time.Duration(rng.Int63n(int64(cfg.BackoffTime))), call)
 					return
 				}
-				reg.Counter(HammerCallsMetric).Inc()
-				reg.Counter(HammerBytesMetric).Add(int64(cfg.ReqSize + cfg.RespSize))
-				reg.Histogram(HammerLatencyMetric, nil).Observe(int64(end - start))
-				if spans.Sampled(trace) {
-					spans.Emit(tracing.Span{
-						Trace: trace, ID: 1, Name: "hammer.call", Kind: "client",
-						StartNS: int64(start), DurNS: int64(end - start),
-					})
-				}
-				think := cfg.ThinkTime/2 + time.Duration(sc.NodeRand(node).Int63n(int64(cfg.ThinkTime)))
-				sc.LocalAt(node, end+think, call)
+				sp.EndAt(end)
+				calls.Inc()
+				payload.Add(int64(cfg.ReqSize + cfg.RespSize))
+				latency.Observe(int64(end - start))
+				c.Sim.At(end+cfg.ThinkTime/2+time.Duration(rng.Int63n(int64(cfg.ThinkTime))), call)
 			}
-			fab.Send(node, 0, cfg.ReqSize, func() {
+			fab.Transfer(node, 0, cfg.ReqSize, func() {
+				var cr *ibverbs.SRQCredit
 				if scale != nil {
-					sess := scale.attach(clientID)
-					if !scale.srq.TryConsume(sess.cr) {
+					cr = scale.attach(client).cr
+					if !scale.srq.TryConsume(cr) {
 						// No WQE (or this session is over its credit): shed
 						// with a small busy frame instead of queueing.
 						scale.shed.Inc()
-						fab.Send(0, node, busyRespBytes, func() { respond(false) })
+						fab.Transfer(0, node, busyRespBytes, func() { respond(false) })
 						return
 					}
-					nnq.TryPut(&hammerReq{src: node, client: clientID, respond: respond, cr: sess.cr})
-					return
 				}
-				nnq.TryPut(&hammerReq{src: node, client: clientID, respond: respond})
+				nnq.TryPut(&hammerReq{src: node, respond: respond, cr: cr})
 			})
 		}
-		// Stagger starts across the spread window, drawn from the node stream
-		// in client-ID order (deterministic and layout-invariant).
-		startAt := time.Duration(sc.NodeRand(node).Int63n(int64(cfg.StartSpread)))
-		sc.LocalAt(node, startAt, call)
+		// Stagger starts across the spread window.
+		c.Sim.At(time.Duration(rng.Int63n(int64(cfg.StartSpread))), call)
 	}
 
-	// Drive in snapshot slices: every horizon is a barrier, where the merged
-	// registry view is consistent and safe to stream.
-	res := HammerResult{}
-	var end time.Duration
-	for t := cfg.SnapshotEvery; ; t += cfg.SnapshotEvery {
-		if t > cfg.Duration {
-			t = cfg.Duration
-		}
-		end = sc.RunUntil(t)
-		if cfg.MetricsSink != nil {
-			if err := cfg.MetricsSink.Emit(sc.Snapshot(t)); err != nil {
-				panic(fmt.Sprintf("bench: hammer metrics stream: %v", err))
-			}
-			res.Snapshots++
-		}
-		if t >= cfg.Duration {
-			break
-		}
-	}
-
-	res.End = end
-	res.Final = sc.Snapshot(cfg.Duration)
+	end := c.RunUntil(cfg.Duration)
+	h.record("hammer", end)
+	res := HammerResult{End: end, Final: reg.Snapshot(end)}
 	res.Calls = res.Final.Counters[HammerCallsMetric]
 	res.Served = res.Final.Counters[HammerServedMetric]
-	res.Barriers = sc.Kernel.Barriers()
-	res.SpanDrops = spans.Dropped()
-	if cfg.TraceSink != nil {
-		res.Spans = spans.Merge(cfg.TraceSink)
-	}
 	if scale != nil {
 		res.QPsPeak = scale.mux.QPsPeak()
 		res.SRQPostedPeak = scale.srq.PostedPeak()
@@ -396,8 +326,8 @@ func RunHammer(cfg HammerConfig) HammerResult {
 func HammerReport(w io.Writer, cfg HammerConfig, res HammerResult, wall time.Duration) {
 	cfg.defaults() // print the effective caps, not zero placeholders
 	lat := res.Final.Histograms[HammerLatencyMetric]
-	fmt.Fprintf(w, "hammer: nodes=%d clients=%d shards=%d calls=%d served=%d barriers=%d virt=%v wall=%v p50=%v p99=%v\n",
-		cfg.Nodes, cfg.Clients, cfg.Shards, res.Calls, res.Served, res.Barriers,
+	fmt.Fprintf(w, "hammer: nodes=%d clients=%d calls=%d served=%d virt=%v wall=%v p50=%v p99=%v\n",
+		cfg.Nodes, cfg.Clients, res.Calls, res.Served,
 		res.End, wall.Round(time.Millisecond),
 		time.Duration(lat.Quantile(0.5)), time.Duration(lat.Quantile(0.99)))
 	if cfg.ScaleOut {

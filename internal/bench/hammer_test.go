@@ -1,100 +1,75 @@
 package bench
 
 import (
-	"bytes"
-	"runtime"
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
-
-	"rpcoib/internal/faultsim"
-	"rpcoib/internal/metrics"
-	"rpcoib/internal/tracing"
 )
 
 // hammerRun captures every replay-compared output of one hammer execution.
 type hammerRun struct {
 	res         HammerResult
-	metricsJSON string // streamed snapshot-delta JSONL
-	traceJSON   string // merged span JSONL
+	metricsJSON string // the -metrics event log
+	traceJSON   string // the -trace span file
 }
 
-func runHammer(t *testing.T, shards, procs int) hammerRun {
+// runHammer runs cfg through a harness writing -metrics and -trace files,
+// keeping one trace in sample, and returns the result and both files.
+func runHammer(t *testing.T, cfg HammerConfig, sample int) hammerRun {
 	t.Helper()
-	prev := runtime.GOMAXPROCS(procs)
-	defer runtime.GOMAXPROCS(prev)
+	dir := t.TempDir()
+	h := &Harness{
+		metricsPath: filepath.Join(dir, "metrics.jsonl"),
+		tracePath:   filepath.Join(dir, "trace.jsonl"),
+		traceSample: sample,
+	}
+	h.Start()
+	res := h.RunHammer(cfg)
+	h.Finish()
+	read := func(path string) string {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	return hammerRun{res: res, metricsJSON: read(h.metricsPath), traceJSON: read(h.tracePath)}
+}
 
-	var mbuf, tbuf bytes.Buffer
-	msink := metrics.NewStreamSink(&mbuf, 0)
-	tsink := tracing.NewSink(&tbuf, tracing.SinkOptions{})
-	res := RunHammer(HammerConfig{
-		Nodes: 40, Clients: 200, Shards: shards, Seed: 7,
-		Duration: 30 * time.Millisecond, SnapshotEvery: 3 * time.Millisecond,
+// hammerCfg is the plain scenario: 200 closed-loop clients on 40 nodes and
+// no connection caps.
+func hammerCfg() HammerConfig {
+	return HammerConfig{
+		Nodes: 40, Clients: 200, Seed: 7,
+		Duration: 30 * time.Millisecond,
 		Handlers: 16, ThinkTime: 2 * time.Millisecond,
-		TraceSampleN: 4,
-		MetricsSink:  msink, TraceSink: tsink,
-	})
-	if err := msink.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return hammerRun{res: res, metricsJSON: mbuf.String(), traceJSON: tbuf.String()}
-}
-
-// TestHammerReplayAcrossLayouts is the S22 acceptance check: the same seeded
-// scenario at shard counts {1,4,16} and GOMAXPROCS {1,8} must produce
-// byte-identical streamed metrics JSONL, byte-identical trace JSONL, and a
-// SameSnapshot-identical final merged snapshot.
-func TestHammerReplayAcrossLayouts(t *testing.T) {
-	ref := runHammer(t, 1, 1)
-	if ref.res.Calls == 0 {
-		t.Fatal("reference run completed no calls")
-	}
-	if ref.res.SpanDrops != 0 {
-		t.Fatalf("reference run dropped %d spans; replay comparison needs a lossless buffer", ref.res.SpanDrops)
-	}
-	if ref.res.Spans == 0 {
-		t.Fatal("reference run merged no spans")
-	}
-	if !strings.Contains(ref.metricsJSON, HammerCallsMetric) {
-		t.Fatal("metrics stream missing the calls counter")
-	}
-	for _, shards := range []int{4, 16} {
-		for _, procs := range []int{1, 8} {
-			got := runHammer(t, shards, procs)
-			if same, why := faultsim.SameSnapshot(ref.res.Final, got.res.Final); !same {
-				t.Fatalf("shards=%d procs=%d: final snapshot diverged: %s", shards, procs, why)
-			}
-			if got.metricsJSON != ref.metricsJSON {
-				t.Fatalf("shards=%d procs=%d: metrics JSONL diverged (%d vs %d bytes)",
-					shards, procs, len(got.metricsJSON), len(ref.metricsJSON))
-			}
-			if got.traceJSON != ref.traceJSON {
-				t.Fatalf("shards=%d procs=%d: trace JSONL diverged (%d vs %d bytes)",
-					shards, procs, len(got.traceJSON), len(ref.traceJSON))
-			}
-			if got.res.End != ref.res.End || got.res.Barriers != ref.res.Barriers {
-				t.Fatalf("shards=%d procs=%d: end=%v barriers=%d, want end=%v barriers=%d",
-					shards, procs, got.res.End, got.res.Barriers, ref.res.End, ref.res.Barriers)
-			}
-		}
 	}
 }
 
-// TestHammerStreamFoldsToFinalSnapshot checks the merge-on-read path: folding
-// the streamed deltas recovers the final cumulative counters exactly.
-func TestHammerStreamFoldsToFinalSnapshot(t *testing.T) {
-	run := runHammer(t, 4, 8)
-	folded, err := metrics.FoldStream(strings.NewReader(run.metricsJSON))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{HammerCallsMetric, HammerBytesMetric, HammerServedMetric} {
-		if folded.Counters[name] != run.res.Final.Counters[name] {
-			t.Fatalf("folded %s = %d, want %d", name, folded.Counters[name], run.res.Final.Counters[name])
+// TestHammerTraceHoldsCalls: a hammer run with -trace writes its calls as
+// hammer.call spans, most of them finished within the run.
+func TestHammerTraceHoldsCalls(t *testing.T) {
+	run := runHammer(t, hammerCfg(), 1)
+	finished := 0
+	for _, line := range strings.Split(strings.TrimSpace(run.traceJSON), "\n") {
+		var sp struct {
+			Name  string            `json:"name"`
+			Attrs map[string]string `json:"attrs"`
+		}
+		if err := json.Unmarshal([]byte(line), &sp); err != nil {
+			t.Fatalf("bad trace line %q: %v", line, err)
+		}
+		if sp.Name != "hammer.call" {
+			t.Fatalf("span %q in a hammer trace", sp.Name)
+		}
+		if sp.Attrs["unfinished"] == "" {
+			finished++
 		}
 	}
-	h, want := folded.Histograms[HammerLatencyMetric], run.res.Final.Histograms[HammerLatencyMetric]
-	if h.Count != want.Count || h.Sum != want.Sum {
-		t.Fatalf("folded latency hist count=%d sum=%d, want count=%d sum=%d", h.Count, h.Sum, want.Count, want.Sum)
+	if int64(finished) != run.res.Calls {
+		t.Fatalf("%d finished hammer.call spans, want one per completed call (%d)", finished, run.res.Calls)
 	}
 }

@@ -134,18 +134,24 @@ func (h *Harness) Metrics() *metrics.Registry {
 	return h.reg
 }
 
-// observed runs one simulation and returns what it recorded, for the runners
-// whose result is a view over the registry (Table I, Figures 1 and 3). With
-// metrics on that is the registry's change across the run; without, the run
-// gets a copy of the harness with a registry and log of its own, so the
-// profile never depends on a flag. run returns the simulation's virtual end
-// time.
-func (h *Harness) observed(run func(h *Harness) time.Duration) metrics.Snapshot {
-	if h.reg == nil {
-		c := *h
-		c.reg, c.log = metrics.New(), &metrics.Log{}
-		h = &c
+// withRegistry returns h when its metrics are on, else a copy of h with a
+// registry and log of its own, for runners whose result is read from the
+// registry and so must not depend on a flag.
+func (h *Harness) withRegistry() *Harness {
+	if h.reg != nil {
+		return h
 	}
+	c := *h
+	c.reg, c.log = metrics.New(), &metrics.Log{}
+	return &c
+}
+
+// observed runs one simulation and returns what it recorded, for the runners
+// whose result is a view over the registry (Table I, Figures 1 and 3): the
+// registry's change across the run (see withRegistry). run returns the
+// simulation's virtual end time.
+func (h *Harness) observed(run func(h *Harness) time.Duration) metrics.Snapshot {
+	h = h.withRegistry()
 	before := h.reg.Snapshot(0)
 	end := run(h)
 	return metrics.Diff(h.reg.Snapshot(end), before)

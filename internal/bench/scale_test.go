@@ -1,63 +1,55 @@
 package bench
 
 import (
-	"bytes"
 	"os"
-	"runtime"
+	"strings"
 	"testing"
 	"time"
-
-	"rpcoib/internal/faultsim"
-	"rpcoib/internal/metrics"
-	"rpcoib/internal/tracing"
 )
 
 // scaleCfg is the small S23 scenario: far more clients than the NameNode's
 // session cache holds and far more offered load than its SRQ can post, so
 // both LRU eviction and busy-shedding fire constantly.
-func scaleCfg(shards int) HammerConfig {
+func scaleCfg() HammerConfig {
 	return HammerConfig{
-		Nodes: 16, Clients: 300, Shards: shards, Seed: 11,
-		Duration: 24 * time.Millisecond, SnapshotEvery: 3 * time.Millisecond,
+		Nodes: 16, Clients: 300, Seed: 11,
+		Duration: 24 * time.Millisecond,
 		Handlers: 4, ThinkTime: 2 * time.Millisecond, ServiceTime: 500 * time.Microsecond,
-		TraceSampleN: 8,
-		ScaleOut:     true,
-		QPMuxCap:     4, ConnCacheCap: 48,
+		ScaleOut: true,
+		QPMuxCap: 4, ConnCacheCap: 48,
 		SRQDepth: 8, SRQCredit: 2, SRQBufBytes: 256,
 	}
 }
 
-func runScaleHammer(t *testing.T, cfg HammerConfig, procs int) hammerRun {
-	t.Helper()
-	prev := runtime.GOMAXPROCS(procs)
-	defer runtime.GOMAXPROCS(prev)
-
-	var mbuf, tbuf bytes.Buffer
-	msink := metrics.NewStreamSink(&mbuf, 0)
-	tsink := tracing.NewSink(&tbuf, tracing.SinkOptions{})
-	cfg.MetricsSink = msink
-	cfg.TraceSink = tsink
-	res := RunHammer(cfg)
-	if err := msink.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return hammerRun{res: res, metricsJSON: mbuf.String(), traceJSON: tbuf.String()}
-}
-
-// scaleScalars projects the layout-invariant scalar summary of a result for
-// direct equality comparison (Final is compared via SameSnapshot).
-func scaleScalars(res HammerResult) [13]int64 {
-	return [13]int64{
-		int64(res.End), res.Calls, res.Served, res.Snapshots, int64(res.Spans),
+// scaleScalars projects the scalar summary of a result for direct equality
+// comparison.
+func scaleScalars(res HammerResult) [11]int64 {
+	return [11]int64{
+		int64(res.End), res.Calls, res.Served,
 		int64(res.QPsPeak), int64(res.SRQPostedPeak), res.RegisteredBytes,
 		res.BudgetBytes, int64(res.Sessions), res.Evictions, res.Shed, res.Busy,
+	}
+}
+
+// assertReplay fails unless two runs wrote the same metrics log, the same
+// trace and the same scalars.
+func assertReplay(t *testing.T, a, b hammerRun) {
+	t.Helper()
+	if a.metricsJSON != b.metricsJSON {
+		t.Fatalf("metrics JSONL diverged (%d vs %d bytes)", len(a.metricsJSON), len(b.metricsJSON))
+	}
+	if a.traceJSON != b.traceJSON {
+		t.Fatalf("trace JSONL diverged (%d vs %d bytes)", len(a.traceJSON), len(b.traceJSON))
+	}
+	if scaleScalars(a.res) != scaleScalars(b.res) {
+		t.Fatalf("result scalars diverged: %v vs %v", scaleScalars(a.res), scaleScalars(b.res))
 	}
 }
 
 // assertScaleBounds is the footprint proof shared by every S23 test: physical
 // QPs, posted WQEs, registered bytes, and cached sessions must all sit at or
 // under their configured caps — numbers that do not grow with cfg.Clients —
-// and the same bounds must hold for the merged-snapshot gauges, so an
+// and the same bounds must hold for the snapshot gauges, so an
 // external metrics consumer sees the proof too.
 func assertScaleBounds(t *testing.T, cfg HammerConfig, res HammerResult) {
 	t.Helper()
@@ -92,43 +84,39 @@ func assertScaleBounds(t *testing.T, cfg HammerConfig, res HammerResult) {
 	}
 }
 
-// TestSRQReplayAcrossLayouts is the S23 determinism acceptance check,
-// mirroring TestHammerReplayAcrossLayouts with the scale-out machinery armed:
-// SRQ shedding, busy backoff retries, QP multiplexing, and LRU session
-// eviction must all replay byte-identically across shard counts {1,4,16} and
-// GOMAXPROCS {1,8}.
-func TestSRQReplayAcrossLayouts(t *testing.T) {
-	ref := runScaleHammer(t, scaleCfg(1), 1)
-	if ref.res.Calls == 0 {
-		t.Fatal("reference run completed no calls")
-	}
-	if ref.res.Shed == 0 || ref.res.Busy == 0 {
-		t.Fatalf("reference run shed=%d busy=%d; the scenario must exercise the shed path", ref.res.Shed, ref.res.Busy)
-	}
-	if ref.res.Evictions == 0 {
-		t.Fatal("reference run evicted no sessions; the scenario must exercise LRU churn")
-	}
-	assertScaleBounds(t, scaleCfg(1), ref.res)
-	for _, shards := range []int{4, 16} {
-		for _, procs := range []int{1, 8} {
-			got := runScaleHammer(t, scaleCfg(shards), procs)
-			if same, why := faultsim.SameSnapshot(ref.res.Final, got.res.Final); !same {
-				t.Fatalf("shards=%d procs=%d: final snapshot diverged: %s", shards, procs, why)
-			}
-			if got.metricsJSON != ref.metricsJSON {
-				t.Fatalf("shards=%d procs=%d: metrics JSONL diverged (%d vs %d bytes)",
-					shards, procs, len(got.metricsJSON), len(ref.metricsJSON))
-			}
-			if got.traceJSON != ref.traceJSON {
-				t.Fatalf("shards=%d procs=%d: trace JSONL diverged (%d vs %d bytes)",
-					shards, procs, len(got.traceJSON), len(ref.traceJSON))
-			}
-			if scaleScalars(got.res) != scaleScalars(ref.res) {
-				t.Fatalf("shards=%d procs=%d: result scalars diverged: %v vs %v",
-					shards, procs, scaleScalars(got.res), scaleScalars(ref.res))
-			}
+// TestHammerReplay is the determinism check of both hammer scenarios: a
+// seeded run, twice, writes byte-identical metrics and trace JSONL and the
+// same scalars. The scale-out run must exercise SRQ shedding, busy backoff
+// retries, QP multiplexing and LRU session eviction while it stays within
+// its caps.
+func TestHammerReplay(t *testing.T) {
+	t.Run("hammer", func(t *testing.T) {
+		ref := runHammer(t, hammerCfg(), 4)
+		if ref.res.Calls == 0 {
+			t.Fatal("reference run completed no calls")
 		}
-	}
+		if !strings.Contains(ref.metricsJSON, HammerCallsMetric) {
+			t.Fatal("metrics log missing the calls counter")
+		}
+		if !strings.Contains(ref.traceJSON, `"name":"hammer.call"`) {
+			t.Fatal("trace holds no hammer.call span")
+		}
+		assertReplay(t, ref, runHammer(t, hammerCfg(), 4))
+	})
+	t.Run("scaleout", func(t *testing.T) {
+		ref := runHammer(t, scaleCfg(), 8)
+		if ref.res.Calls == 0 {
+			t.Fatal("reference run completed no calls")
+		}
+		if ref.res.Shed == 0 || ref.res.Busy == 0 {
+			t.Fatalf("reference run shed=%d busy=%d; the scenario must exercise the shed path", ref.res.Shed, ref.res.Busy)
+		}
+		if ref.res.Evictions == 0 {
+			t.Fatal("reference run evicted no sessions; the scenario must exercise LRU churn")
+		}
+		assertScaleBounds(t, scaleCfg(), ref.res)
+		assertReplay(t, ref, runHammer(t, scaleCfg(), 8))
+	})
 }
 
 // TestHammerScaleOutBounds runs a mid-size scale-out hammer (20K clients —
@@ -136,13 +124,12 @@ func TestSRQReplayAcrossLayouts(t *testing.T) {
 // configured caps while the load completes.
 func TestHammerScaleOutBounds(t *testing.T) {
 	cfg := HammerConfig{
-		Nodes: 64, Clients: 20000, Shards: 4, Seed: 5,
-		Duration: 10 * time.Millisecond, SnapshotEvery: 5 * time.Millisecond,
+		Nodes: 64, Clients: 20000, Seed: 5,
+		Duration: 10 * time.Millisecond,
 		Handlers: 64, ThinkTime: 5 * time.Millisecond,
-		TraceSampleN: 1 << 16,
-		ScaleOut:     true, ConnCacheCap: 1024,
+		ScaleOut: true, ConnCacheCap: 1024,
 	}
-	res := RunHammer(cfg)
+	res := new(Harness).RunHammer(cfg)
 	if res.Calls == 0 {
 		t.Fatal("no calls completed")
 	}
@@ -154,47 +141,34 @@ func TestHammerScaleOutBounds(t *testing.T) {
 
 // scale1MCfg is the headline ROADMAP scenario: one million clients against
 // one NameNode whose footprint the caps pin at 64 QPs, 4096 sessions, and a
-// 1MiB registered-buffer budget — O(caps), not O(clients).
-func scale1MCfg(shards int) HammerConfig {
+// 256 KiB registered-buffer budget — O(caps), not O(clients).
+func scale1MCfg() HammerConfig {
 	return HammerConfig{
-		Nodes: 256, Clients: 1_000_000, Shards: shards, Seed: 3,
-		Duration: 10 * time.Millisecond, SnapshotEvery: 5 * time.Millisecond,
+		Nodes: 256, Clients: 1_000_000, Seed: 3,
+		Duration: 10 * time.Millisecond,
 		Handlers: 256, ThinkTime: 20 * time.Millisecond,
-		StartSpread:  10 * time.Millisecond,
-		TraceSampleN: 1 << 20,
-		ScaleOut:     true,
+		StartSpread: 10 * time.Millisecond,
+		ScaleOut:    true,
 	}
 }
 
 // TestHammerScale1M is the million-client soak, gated behind RPCOIB_SCALE_1M=1
-// because it needs a few hundred MB and a couple of minutes (run it without
-// -race). It proves the footprint bounds at full scale and that the run
-// replays identically across shard layouts {4, 8}.
+// because it needs a few hundred MB (run it without -race). It proves the
+// footprint bounds at full scale and that two runs are identical.
 func TestHammerScale1M(t *testing.T) {
 	if os.Getenv("RPCOIB_SCALE_1M") == "" {
 		t.Skip("set RPCOIB_SCALE_1M=1 to run the million-client soak")
 	}
-	ref := runScaleHammer(t, scale1MCfg(8), runtime.NumCPU())
+	ref := runHammer(t, scale1MCfg(), 1<<20)
 	if ref.res.Calls == 0 {
 		t.Fatal("no calls completed")
 	}
 	if ref.res.Evictions == 0 {
 		t.Fatal("no sessions evicted: 1M clients must churn a 4096-entry cache")
 	}
-	assertScaleBounds(t, scale1MCfg(8), ref.res)
+	assertScaleBounds(t, scale1MCfg(), ref.res)
 	t.Logf("1M clients: calls=%d served=%d shed=%d busy=%d qps_peak=%d sessions=%d evictions=%d",
 		ref.res.Calls, ref.res.Served, ref.res.Shed, ref.res.Busy,
 		ref.res.QPsPeak, ref.res.Sessions, ref.res.Evictions)
-
-	got := runScaleHammer(t, scale1MCfg(4), runtime.NumCPU())
-	if same, why := faultsim.SameSnapshot(ref.res.Final, got.res.Final); !same {
-		t.Fatalf("shards=4 vs 8: final snapshot diverged: %s", why)
-	}
-	if got.metricsJSON != ref.metricsJSON || got.traceJSON != ref.traceJSON {
-		t.Fatal("shards=4 vs 8: streamed outputs diverged")
-	}
-	if scaleScalars(got.res) != scaleScalars(ref.res) {
-		t.Fatalf("shards=4 vs 8: result scalars diverged: %v vs %v",
-			scaleScalars(got.res), scaleScalars(ref.res))
-	}
+	assertReplay(t, ref, runHammer(t, scale1MCfg(), 1<<20))
 }

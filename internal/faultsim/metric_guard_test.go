@@ -19,9 +19,8 @@ const UpdateMetricGoldenEnv = "RPCOIB_UPDATE_METRIC_GOLDEN"
 // TestMetricNamesGolden guards the metric namespace across both acceptance
 // scenarios: the failover outage touches every instrumented RPC subsystem
 // (client, server, buffer pools, verbs devices, HDFS pipeline, fault
-// injector, breaker/failover), and a small S22 hammer run covers the sharded
-// kernel's families (rpc_hammer_* and the streaming sink's
-// rpc_metrics_stream_* accounting; with ScaleOut on, the S23 rpc_ib_srq_*,
+// injector, breaker/failover), a small hammer run through a zero Harness
+// covers the rpc_hammer_* families (with ScaleOut on, the S23 rpc_ib_srq_*,
 // rpc_ib_qp_mux_*, and rpc_conn_cache_* families too), and the multi-rail
 // outage covers the rail-selector families (rpc_rail_* including the
 // per-rail labeled call counter, and the injector's fault_rail_events /
@@ -39,17 +38,12 @@ func TestMetricNamesGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("rail scenario write failed: %v", err)
 	}
-	sink := metrics.NewStreamSink(nil, 0)
-	hammer := bench.RunHammer(bench.HammerConfig{
-		Nodes: 8, Clients: 16, Shards: 2, Seed: 1,
-		Duration: 5 * time.Millisecond, SnapshotEvery: time.Millisecond,
+	hammer := new(bench.Harness).RunHammer(bench.HammerConfig{
+		Nodes: 8, Clients: 16, Seed: 1,
+		Duration: 5 * time.Millisecond,
 		Handlers: 4, ThinkTime: time.Millisecond,
-		MetricsSink: sink,
-		ScaleOut:    true, QPMuxCap: 2, ConnCacheCap: 8, SRQDepth: 8,
+		ScaleOut: true, QPMuxCap: 2, ConnCacheCap: 8, SRQDepth: 8,
 	})
-	if err := sink.Close(); err != nil {
-		t.Fatal(err)
-	}
 
 	names := map[string]bool{}
 	add := func(n string) {

@@ -1,6 +1,7 @@
 package hdfs
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"strconv"
@@ -227,14 +228,16 @@ func (dn *DataNode) handleConn(e exec.Env, conn transport.Conn) {
 	}
 }
 
-// packet header layout: [seq int32][dataLen int32][last bool]
+// packet header layout: [seq int32][dataLen int32][last bool], big-endian
+// as a DataOutput writes it.
 func packetHeader(seq int32, dataLen int32, last bool) []byte {
-	d := wire.NewDataOutputBufferSize(16)
-	out := wire.NewDataOutput(d)
-	out.WriteInt32(seq)
-	out.WriteInt32(dataLen)
-	out.WriteBool(last)
-	return append([]byte(nil), d.Data()...)
+	b := make([]byte, 9)
+	binary.BigEndian.PutUint32(b, uint32(seq))
+	binary.BigEndian.PutUint32(b[4:], uint32(dataLen))
+	if last {
+		b[8] = 1
+	}
+	return b
 }
 
 // receiveBlock implements the downstream side of the write pipeline:
