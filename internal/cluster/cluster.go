@@ -105,6 +105,8 @@ type Cluster struct {
 	ibFabrics []*netsim.Fabric
 	ibnets    []*ibverbs.Network
 	ibmuxes   []*ibverbs.Mux // per rail, non-nil entries when QPMuxPerPeer > 0
+
+	frames framePool // the socket transports' frames (frames.go)
 }
 
 // Node is one simulated host.

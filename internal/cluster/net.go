@@ -49,7 +49,7 @@ func (n *sockNet) Listen(_ exec.Env, port int) (transport.Listener, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &sockListener{l: l}, nil
+	return &sockListener{l: l, frames: &n.c.frames}, nil
 }
 
 func (n *sockNet) Dial(e exec.Env, addr string) (transport.Conn, error) {
@@ -57,43 +57,73 @@ func (n *sockNet) Dial(e exec.Env, addr string) (transport.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &sockConn{c: conn}, nil
+	return &sockConn{c: conn, frames: &n.c.frames}, nil
 }
 
-type sockListener struct{ l *netsim.Listener }
+type sockListener struct {
+	l      *netsim.Listener
+	frames *framePool
+}
 
 func (l *sockListener) Accept(e exec.Env) (transport.Conn, error) {
 	conn, err := l.l.Accept(ProcOf(e))
 	if err != nil {
 		return nil, err
 	}
-	return &sockConn{c: conn}, nil
+	return &sockConn{c: conn, frames: l.frames}, nil
 }
 
 func (l *sockListener) Close()       { l.l.Close() }
 func (l *sockListener) Addr() string { return l.l.Addr() }
 
-type sockConn struct{ c *netsim.SocketConn }
+type sockConn struct {
+	c      *netsim.SocketConn
+	frames *framePool
+	lent   *frame // the frame the last Recv lent, until it is released
+}
 
 var _ transport.SizedSender = (*sockConn)(nil)
 
-// Send and SendSized copy data: transport.Conn.Send only borrows the slice,
-// but the simulated socket queues what it is given to the peer and delivers
-// it after the wire delay, by which time the sender has reused the buffer.
+// Send and SendSized copy data into a frame of the cluster's:
+// transport.Conn.Send only borrows the slice, but the simulated socket
+// queues what it is given to the peer and delivers it after the wire delay,
+// by which time the sender has reused the buffer. The peer's Recv lends the
+// frame on, and its release returns the frame to the pool.
 func (c *sockConn) Send(e exec.Env, data []byte) error {
 	return c.SendSized(e, data, len(data))
 }
 
 func (c *sockConn) SendSized(e exec.Env, data []byte, size int) error {
-	return c.c.SendSized(ProcOf(e), append([]byte(nil), data...), size)
+	f := c.frames.get(len(data))
+	if f == nil {
+		return c.c.SendSized(ProcOf(e), append([]byte(nil), data...), size)
+	}
+	n := copy(f.b, data)
+	err := c.c.SendFrame(ProcOf(e), f.b[:n], size, f)
+	if err != nil {
+		f.recycle() // refused before it was queued: no one else holds it
+	}
+	return err
 }
 
+// Recv lends the next frame until its release. A Recv made while the
+// previous frame is still lent leaves that frame to its holder for good.
 func (c *sockConn) Recv(e exec.Env) ([]byte, func(), error) {
-	data, err := c.c.Recv(ProcOf(e))
+	data, owner, err := c.c.RecvFrame(ProcOf(e))
 	if err != nil {
 		return nil, nil, err
 	}
-	return data, transport.NopRelease, nil
+	if c.lent != nil {
+		c.lent.abandon()
+		c.lent = nil
+	}
+	f, ok := owner.(*frame)
+	if !ok {
+		return data, transport.NopRelease, nil
+	}
+	f.lend(c)
+	c.lent = f
+	return data, f.release, nil
 }
 
 func (c *sockConn) WireTime(n int) time.Duration { return c.c.WireTime(n) }
@@ -203,7 +233,7 @@ func (n *ibNet) DialFallback(e exec.Env, addr string) (transport.Conn, error) {
 		sc.Close()
 		return nil, err
 	}
-	return &sockConn{c: sc}, nil
+	return &sockConn{c: sc, frames: &n.c.frames}, nil
 }
 
 var _ transport.FallbackDialer = (*ibNet)(nil)
@@ -329,7 +359,7 @@ func (l *ibListener) handshake(e exec.Env, sc *netsim.SocketConn) {
 			sc.Close()
 			return
 		}
-		if !l.ready.TryPut(&sockConn{c: sc}) {
+		if !l.ready.TryPut(&sockConn{c: sc, frames: &l.c.frames}) {
 			sc.Close()
 		}
 		return

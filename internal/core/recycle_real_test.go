@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"errors"
+	"io"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -262,5 +263,27 @@ func TestAsyncWaitLeavesNoTimer(t *testing.T) {
 		}
 		runtime.GC()
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestObservedCallAllocBudget pins what full observation adds to one real
+// RPCoIB call: a metrics registry plus a tracer that keeps every call and
+// streams its spans. The spans are the client's call with its serialize and
+// send stages and the server's call with its recv, queue, handler and reply
+// stages. Five allocations are left: the two spans Start returns, the two
+// byte counts the send and recv stages carry as strings, and the handler's
+// Env carrying the server span's context. The registry adds none (see
+// TestObservedCallBuildsNoLabels), the stage spans live on the stack, and
+// the sink encodes every record into one buffer it owns.
+func TestObservedCallAllocBudget(t *testing.T) {
+	const observedCallAllocs = 5
+	plain := allocsPerCall(t, Options{Mode: ModeRPCoIB})
+	observed := allocsPerCall(t, Options{Mode: ModeRPCoIB, Metrics: metrics.New(),
+		Trace: tracing.New(1, tracing.NewSink(io.Discard, tracing.SinkOptions{}), tracing.Sampler{})})
+	added := observed - plain
+	t.Logf("allocations per call: %.2f unobserved, %.2f observed, %.2f added", plain, observed, added)
+	const budget = observedCallAllocs * 1.1
+	if added > budget {
+		t.Errorf("observation adds %.2f allocations per call, budget %.1f (%d and 10%%)", added, budget, observedCallAllocs)
 	}
 }

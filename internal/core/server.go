@@ -243,12 +243,18 @@ func (s *Server) readerLoop(e exec.Env, conn transport.Conn) {
 			// decision propagates.
 			call.span = s.opts.Trace.Start("server.call", "server",
 				tracing.SpanContext{Trace: tw.trace, Span: tw.span}, t0)
-			if call.span != nil {
+		}
+		md := s.protocols[string(protocol)][string(method)]
+		if call.span != nil {
+			if md != nil { // the registered names: no string built per call
+				call.span.SetAttr("protocol", md.protocol)
+				call.span.SetAttr("method", md.method)
+			} else {
 				call.span.SetAttr("protocol", string(protocol))
 				call.span.SetAttr("method", string(method))
 			}
 		}
-		if md := s.protocols[string(protocol)][string(method)]; md != nil {
+		if md != nil {
 			call.md = md
 			call.param = md.newParam()
 			call.param.ReadFields(in)

@@ -180,6 +180,7 @@ func (c *DFSClient) writeBlock(e exec.Env, lb LocatedBlock, length int64) error 
 	packet := int64(c.h.cfg.PacketSize)
 	rdma := c.h.cfg.DataRDMA
 	var seq int32
+	hdr := make([]byte, packetHeaderLen)
 	for off := int64(0); off < length; off += packet {
 		n := packet
 		if off+n > length {
@@ -187,8 +188,7 @@ func (c *DFSClient) writeBlock(e exec.Env, lb LocatedBlock, length int64) error 
 		}
 		// Checksum computation and packet assembly.
 		e.Work(packetCPU(rdma, int(n)))
-		last := off+n >= length
-		hdr := packetHeader(seq, int32(n), last)
+		packetHeader(hdr, seq, int32(n), off+n >= length)
 		if err := transport.SendSized(e, conn, hdr, len(hdr)+int(n)); err != nil {
 			return err
 		}
@@ -196,8 +196,7 @@ func (c *DFSClient) writeBlock(e exec.Env, lb LocatedBlock, length int64) error 
 		seq++
 	}
 	if length == 0 {
-		hdr := packetHeader(0, 0, true)
-		if err := conn.Send(e, hdr); err != nil {
+		if err := conn.Send(e, packetHeader(hdr, 0, 0, true)); err != nil {
 			return err
 		}
 	}

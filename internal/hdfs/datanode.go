@@ -113,6 +113,7 @@ func (dn *DataNode) replicateBlock(e exec.Env, blockID int64, target string) {
 	packet := int64(dn.h.cfg.PacketSize)
 	rdma := dn.h.cfg.DataRDMA
 	var seq int32
+	hdr := make([]byte, packetHeaderLen)
 	for off := int64(0); off < length; off += packet {
 		n := packet
 		if off+n > length {
@@ -120,7 +121,7 @@ func (dn *DataNode) replicateBlock(e exec.Env, blockID int64, target string) {
 		}
 		disk.ReadStream(proc, blockID, n)
 		e.Work(packetCPU(rdma, int(n)))
-		hdr := packetHeader(seq, int32(n), off+n >= length)
+		packetHeader(hdr, seq, int32(n), off+n >= length)
 		if err := transport.SendSized(e, conn, hdr, len(hdr)+int(n)); err != nil {
 			return
 		}
@@ -228,12 +229,18 @@ func (dn *DataNode) handleConn(e exec.Env, conn transport.Conn) {
 	}
 }
 
-// packet header layout: [seq int32][dataLen int32][last bool], big-endian
-// as a DataOutput writes it.
-func packetHeader(seq int32, dataLen int32, last bool) []byte {
-	b := make([]byte, 9)
+// packetHeaderLen is the packet header's size: [seq int32][dataLen int32]
+// [last bool], big-endian as a DataOutput writes it.
+const packetHeaderLen = 9
+
+// packetHeader writes a packet header into b, a scratch slice of
+// packetHeaderLen bytes that the sending loop owns and reuses for every
+// packet: a send only borrows it (a simulated socket copies it into a frame
+// of its own, a verbs send into a registered buffer).
+func packetHeader(b []byte, seq int32, dataLen int32, last bool) []byte {
 	binary.BigEndian.PutUint32(b, uint32(seq))
 	binary.BigEndian.PutUint32(b[4:], uint32(dataLen))
+	b[8] = 0
 	if last {
 		b[8] = 1
 	}
@@ -310,6 +317,10 @@ func (dn *DataNode) receiveBlock(e exec.Env, upstream transport.Conn, blockID in
 	rdma := dn.h.cfg.DataRDMA
 
 	var length int64
+	hdr := make([]byte, packetHeaderLen)
+	// A full packet's length, boxed once: queueing an int64 of 256 or more
+	// would otherwise allocate per packet.
+	fullPacket := any(int64(dn.h.cfg.PacketSize))
 	for {
 		data, release, err := upstream.Recv(e)
 		if err != nil {
@@ -330,7 +341,7 @@ func (dn *DataNode) receiveBlock(e exec.Env, upstream transport.Conn, blockID in
 		// Checksum verification, stream decode, write() copy.
 		e.Work(packetCPU(rdma, int(dataLen)))
 		if downstream != nil {
-			hdr := packetHeader(0, dataLen, last)
+			packetHeader(hdr, 0, dataLen, last)
 			if err := transport.SendSized(e, downstream, hdr, len(hdr)+int(dataLen)); err != nil {
 				diskQ.Close()
 				return nil, err
@@ -340,7 +351,11 @@ func (dn *DataNode) receiveBlock(e exec.Env, upstream transport.Conn, blockID in
 		length += int64(dataLen)
 		if dataLen > 0 {
 			dn.dirty.Acquire(proc, int64(dataLen))
-			diskQ.Put(e, int64(dataLen))
+			if int(dataLen) == dn.h.cfg.PacketSize {
+				diskQ.Put(e, fullPacket)
+			} else {
+				diskQ.Put(e, int64(dataLen))
+			}
 		}
 		if last {
 			break
@@ -377,6 +392,7 @@ func (dn *DataNode) sendBlock(e exec.Env, conn transport.Conn, blockID int64) er
 	packet := int64(dn.h.cfg.PacketSize)
 	rdma := dn.h.cfg.DataRDMA
 	var seq int32
+	hdr := make([]byte, packetHeaderLen)
 	for off := int64(0); off < length; off += packet {
 		n := packet
 		if off+n > length {
@@ -384,8 +400,7 @@ func (dn *DataNode) sendBlock(e exec.Env, conn transport.Conn, blockID int64) er
 		}
 		disk.ReadStream(proc, blockID, n)
 		e.Work(packetCPU(rdma, int(n)))
-		last := off+n >= length
-		hdr := packetHeader(seq, int32(n), last)
+		packetHeader(hdr, seq, int32(n), off+n >= length)
 		if err := transport.SendSized(e, conn, hdr, len(hdr)+int(n)); err != nil {
 			return err
 		}

@@ -138,6 +138,13 @@ func (c *SocketConn) Send(p *sim.Proc, data []byte) error {
 // 128 GB job does not move 128 GB through host memory; all timing and
 // contention behave as if the full payload crossed the wire.
 func (c *SocketConn) SendSized(p *sim.Proc, data []byte, size int) error {
+	return c.SendFrame(p, data, size, nil)
+}
+
+// SendFrame is SendSized for a payload that belongs to owner: the socket
+// holds data until the peer's RecvFrame hands it, with owner, to the
+// receiver. A message lost to a closed peer is dropped with its owner.
+func (c *SocketConn) SendFrame(p *sim.Proc, data []byte, size int, owner any) error {
 	if c.closed {
 		return ErrClosed
 	}
@@ -145,7 +152,7 @@ func (c *SocketConn) SendSized(p *sim.Proc, data []byte, size int) error {
 		size = len(data)
 	}
 	c.f.ChargeCPU(p, c.localNode, c.f.params.StackCPU(size))
-	c.f.Transfer(c.localNode, c.remoteNode, size, c.f.newMsg(c.peer, data, size).arrived)
+	c.f.Transfer(c.localNode, c.remoteNode, size, c.f.newMsg(c.peer, data, size, owner).arrived)
 	return nil
 }
 
@@ -157,16 +164,17 @@ type sizedMsg struct {
 	to      *SocketConn
 	data    []byte
 	size    int
+	owner   any
 	arrived func() // m.arrive
 }
 
-func (f *Fabric) newMsg(to *SocketConn, data []byte, size int) *sizedMsg {
+func (f *Fabric) newMsg(to *SocketConn, data []byte, size int, owner any) *sizedMsg {
 	m := takeFree(&f.freeMsgs)
 	if m == nil {
 		m = &sizedMsg{}
 		m.arrived = m.arrive
 	}
-	m.to, m.data, m.size = to, data, size
+	m.to, m.data, m.size, m.owner = to, data, size, owner
 	return m
 }
 
@@ -179,27 +187,28 @@ func (m *sizedMsg) arrive() {
 }
 
 func (f *Fabric) recycle(m *sizedMsg) {
-	m.to, m.data = nil, nil
+	m.to, m.data, m.owner = nil, nil, nil
 	f.freeMsgs = append(f.freeMsgs, m)
 }
 
 // Recv blocks until a message arrives and charges receive-side stack CPU.
 func (c *SocketConn) Recv(p *sim.Proc) ([]byte, error) {
-	data, _, err := c.RecvSized(p)
+	data, _, err := c.RecvFrame(p)
 	return data, err
 }
 
-// RecvSized is Recv that also reports the message's virtual wire size.
-func (c *SocketConn) RecvSized(p *sim.Proc) ([]byte, int, error) {
+// RecvFrame is Recv that also returns the owner the payload was sent with
+// (nil for Send and SendSized).
+func (c *SocketConn) RecvFrame(p *sim.Proc) ([]byte, any, error) {
 	v, ok := c.in.Get(p)
 	if !ok {
-		return nil, 0, ErrClosed
+		return nil, nil, ErrClosed
 	}
 	m := v.(*sizedMsg)
-	data, size := m.data, m.size
+	data, size, owner := m.data, m.size, m.owner
 	c.f.recycle(m)
 	c.f.ChargeCPU(p, c.localNode, c.f.params.StackCPU(size))
-	return data, size, nil
+	return data, owner, nil
 }
 
 // WireTime reports how long an n-byte message occupies the wire (transfer

@@ -84,3 +84,25 @@ func BenchmarkResourceUse(b *testing.B) {
 	b.ResetTimer()
 	s.Run()
 }
+
+// BenchmarkSpawn is a process's whole life b.N times over: a parent spawns a
+// child, the child runs and exits, the parent sleeps past it. The child's
+// coroutine is the previous child's, parked at its exit, so a spawn costs
+// the Proc and its start event, not a new coroutine.
+func BenchmarkSpawn(b *testing.B) {
+	s := New(1)
+	ran := 0
+	child := func(p *Proc) { ran++ }
+	s.Spawn("parent", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			s.Spawn("child", child)
+			p.Sleep(time.Microsecond)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	s.Run()
+	if ran != b.N {
+		b.Fatalf("%d of %d children ran", ran, b.N)
+	}
+}

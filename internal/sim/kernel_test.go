@@ -359,6 +359,55 @@ func TestNoGoroutineOutlivesDrainedSim(t *testing.T) {
 	checkGoroutines(t, before, "a drained Sim")
 }
 
+// A finished process's coroutine runs the next body spawned in the same
+// run; one whose body panicked or called runtime.Goexit is not parked for
+// reuse, and none outlives the run.
+func TestSpawnReusesFinishedCoroutine(t *testing.T) {
+	s := New(1)
+	reused := false
+	s.Spawn("parent", func(p *Proc) {
+		s.Spawn("first", func(p *Proc) {})
+		p.Sleep(time.Microsecond)
+		if len(s.idle) != 1 {
+			t.Errorf("%d coroutines parked after one process exited, want 1", len(s.idle))
+			return
+		}
+		parked := s.idle[0]
+		s.Spawn("second", func(p *Proc) {})
+		reused = len(s.idle) == 0 && parked.p != nil && parked.p.name == "second"
+		p.Sleep(time.Microsecond)
+	})
+	s.At(time.Hour, func() {}) // the run ends at its horizon, not drained
+	s.RunUntil(time.Millisecond)
+	if !reused {
+		t.Fatal("Spawn did not take the parked coroutine")
+	}
+	if len(s.idle) != 0 {
+		t.Fatalf("%d parked coroutines outlived the run", len(s.idle))
+	}
+
+	func() {
+		defer func() { recover() }()
+		s.Spawn("panicker", func(p *Proc) { panic("boom") })
+		s.RunUntil(2 * time.Millisecond)
+	}()
+	if len(s.idle) != 0 {
+		t.Fatalf("a panicked body's coroutine was parked (%d parked)", len(s.idle))
+	}
+
+	g := New(1)
+	g.Spawn("quitter", func(p *Proc) { runtime.Goexit() })
+	done := make(chan struct{})
+	go func() { // Goexit reaches the driver's goroutine, so drive from one of our own
+		defer close(done)
+		g.RunUntil(time.Millisecond)
+	}()
+	<-done
+	if len(g.idle) != 0 {
+		t.Fatalf("a Goexit body's coroutine was parked (%d parked)", len(g.idle))
+	}
+}
+
 // checkGoroutines fails t if more than before goroutines are still running
 // once exiting ones have had two seconds to be reaped.
 func checkGoroutines(t *testing.T, before int, after string) {

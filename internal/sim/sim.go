@@ -53,7 +53,8 @@ type Sim struct {
 	// slot on the free list. A process keeps its slot from Spawn to exit.
 	procs    []*Proc
 	free     []int32
-	live     int // processes spawned and not yet finished
+	idle     []*coro // finished processes' coroutines, parked for reuse
+	live     int     // processes spawned and not yet finished
 	procSeq  int
 	panicVal any
 	panicLoc string
@@ -222,6 +223,7 @@ func (s *Sim) run(horizon time.Duration) {
 	for {
 		s.expireDue()
 		if len(s.events) == 0 || s.events[0].at > horizon {
+			s.stopIdle()
 			return
 		}
 		e := s.events.pop()
@@ -280,6 +282,7 @@ func (s *Sim) NextEventTime() (at time.Duration, ok bool) {
 
 func (s *Sim) checkPanic() {
 	if s.panicVal != nil {
+		s.stopIdle()
 		panic(fmt.Sprintf("sim: process panic at t=%v in %s: %v", s.now, s.panicLoc, s.panicVal))
 	}
 }
@@ -330,21 +333,22 @@ func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
 		p.slot = int32(len(s.procs))
 		s.procs = append(s.procs, p)
 	}
-	p.start(fn)
+	s.start(p, fn)
 	s.live++
 	p.wake()
 	return p
 }
 
-// run is the coroutine body: fn, then the exit. A panic is recorded for the
-// driver to re-raise; either way the exit frees the slot and pops on to the
-// next process, as block does.
-func (p *Proc) run(fn func(*Proc)) {
+// run is the process's life on its coroutine: fn, then the exit. A panic
+// is recorded for the driver to re-raise and reported; either way the exit
+// frees the slot and pops on to the next process, as block does.
+func (p *Proc) run(fn func(*Proc)) (panicked bool) {
 	defer func() {
 		s := p.sim
 		if r := recover(); r != nil {
 			s.panicVal = r
 			s.panicLoc = p.name
+			panicked = true
 		}
 		s.live--
 		s.procs[p.slot] = nil
@@ -352,6 +356,7 @@ func (p *Proc) run(fn func(*Proc)) {
 		s.handTo = s.nextProc()
 	}()
 	fn(p)
+	return false
 }
 
 // block suspends the process until its wake event is popped. It must only

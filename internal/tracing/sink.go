@@ -1,7 +1,7 @@
 package tracing
 
 import (
-	"encoding/json"
+	"bytes"
 	"io"
 	"sort"
 	"sync"
@@ -37,6 +37,7 @@ type Sink struct {
 	w       io.Writer
 	opt     SinkOptions
 	tail    bool
+	enc     []byte              // the record being emitted, reused
 	buf     [][]byte            // in-memory mode retention
 	pending map[uint64][][]byte // tail mode: trace ID -> encoded spans
 	order   []uint64            // tail mode: pending trace IDs, admission order
@@ -69,18 +70,17 @@ func (s *Sink) setTail() {
 	s.pending = map[uint64][][]byte{}
 }
 
-// Emit encodes and routes one span record. encoding/json sorts map keys, so
-// records — and therefore whole trace files — are byte-identical across
-// same-seed runs.
-func (s *Sink) Emit(sp Span) {
-	line, err := json.Marshal(sp)
-	if err != nil {
-		s.drop(1)
-		return
-	}
-	line = append(line, '\n')
+// Emit encodes and routes one span record. The record is json.Marshal's
+// encoding of the span, attribute keys sorted, so records — and therefore
+// whole trace files — are byte-identical across same-seed runs. It is
+// encoded into the sink's own buffer: a streaming sink writes it from
+// there, and only a sink that keeps records (in memory or tail-buffered)
+// copies it.
+func (s *Sink) Emit(sp *Span) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.enc = appendRecord(s.enc[:0], sp)
+	line := s.enc
 	if s.tail && sp.Trace != 0 {
 		spans, live := s.pending[sp.Trace]
 		if !live {
@@ -94,7 +94,7 @@ func (s *Sink) Emit(sp Span) {
 			s.dropLocked(1)
 			return
 		}
-		s.pending[sp.Trace] = append(spans, line)
+		s.pending[sp.Trace] = append(spans, bytes.Clone(line))
 		return
 	}
 	s.writeLocked(line)
@@ -126,8 +126,8 @@ func (s *Sink) EndTrace(trace uint64, keep bool) (flushed, discarded int) {
 	return len(spans), 0
 }
 
-// writeLocked sends one encoded record to the writer or the bounded
-// in-memory buffer; failures become counted drops.
+// writeLocked sends one encoded record to the writer or, as a copy, to the
+// bounded in-memory buffer; failures become counted drops.
 func (s *Sink) writeLocked(line []byte) {
 	if s.w != nil {
 		if _, err := s.w.Write(line); err != nil {
@@ -139,7 +139,7 @@ func (s *Sink) writeLocked(line []byte) {
 		s.dropLocked(1)
 		return
 	}
-	s.buf = append(s.buf, line)
+	s.buf = append(s.buf, bytes.Clone(line))
 }
 
 // Close flushes tail-pending traces that never got a verdict (in-flight
@@ -180,12 +180,6 @@ func (s *Sink) Dropped() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.drops
-}
-
-func (s *Sink) drop(n int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.dropLocked(n)
 }
 
 func (s *Sink) dropLocked(n int64) {

@@ -52,6 +52,10 @@ type SpanContext struct {
 // returned by Tracer.Start is live until EndAt, which stamps the duration
 // and hands it to the sink. The zero Trace ID marks a global event span
 // (e.g. a fault injection) that overlays every trace by time.
+//
+// A live span keeps its annotations in a small sorted set, not in Attrs:
+// Attrs is filled only on records decoded from a trace file (ReadSpans), and
+// the sink writes the set where json.Marshal would write the map.
 type Span struct {
 	Trace   uint64            `json:"trace"`
 	ID      uint64            `json:"span"`
@@ -62,8 +66,16 @@ type Span struct {
 	DurNS   int64             `json:"dur_ns"`
 	Attrs   map[string]string `json:"attrs,omitempty"`
 
-	tr   *Tracer
-	root bool
+	tr    *Tracer
+	root  bool
+	attrs []attr // sorted by key
+}
+
+// liveSpan is what Start allocates: the span and, in the same object, the
+// array its first attributes live in, which a decoded Span does without.
+type liveSpan struct {
+	Span
+	inline [spanInlineAttrs]attr
 }
 
 // Context returns the span's propagation context (zero on nil).
@@ -87,10 +99,7 @@ func (s *Span) SetAttr(k, v string) {
 	if s == nil {
 		return
 	}
-	if s.Attrs == nil {
-		s.Attrs = map[string]string{}
-	}
-	s.Attrs[k] = v
+	s.attrs = setAttr(s.attrs, k, v)
 }
 
 // EndAt stamps the span's duration against the caller's clock and emits it.
@@ -102,7 +111,7 @@ func (s *Span) EndAt(at time.Duration) {
 	}
 	s.DurNS = int64(at) - s.StartNS
 	s.tr.untrack(s)
-	s.tr.emit(*s)
+	s.tr.emit(s)
 	if s.root {
 		s.tr.endRoot(s.Trace, time.Duration(s.DurNS))
 	}
@@ -219,7 +228,9 @@ func (t *Tracer) Start(name, kind string, parent SpanContext, at time.Duration) 
 			return nil // before the span exists: a sampled-out call allocates nothing here
 		}
 	}
-	sp := &Span{Name: name, Kind: kind, StartNS: int64(at), tr: t}
+	ls := &liveSpan{Span: Span{Name: name, Kind: kind, StartNS: int64(at), tr: t}}
+	sp := &ls.Span
+	sp.attrs = ls.inline[:0]
 	if !root {
 		sp.Trace = parent.Trace
 		sp.Parent = parent.Span
@@ -266,7 +277,7 @@ func (t *Tracer) Flush() {
 	for _, sp := range open {
 		sp.SetAttr("unfinished", "1")
 		sp.DurNS = 0
-		t.emit(*sp)
+		t.emit(sp)
 		if sp.root && t.sink != nil && t.sampler.Mode == SampleTail {
 			// No duration to judge; keep the trace — an unfinished call is
 			// exactly what tail sampling exists to surface.
@@ -282,17 +293,13 @@ func (t *Tracer) Child(parent *Span, name, kind string, start, dur time.Duration
 	if t == nil || parent == nil {
 		return
 	}
+	var buf [spanInlineAttrs]attr
 	sp := Span{
 		Trace: parent.Trace, ID: t.nextID(), Parent: parent.ID,
 		Name: name, Kind: kind, StartNS: int64(start), DurNS: int64(dur),
+		attrs: attrsOf(buf[:0], attrs),
 	}
-	for i := 0; i+1 < len(attrs); i += 2 {
-		if sp.Attrs == nil {
-			sp.Attrs = map[string]string{}
-		}
-		sp.Attrs[attrs[i]] = attrs[i+1]
-	}
-	t.emit(sp)
+	t.emit(&sp)
 }
 
 // Event emits a zero-trace event span (fault injections, rail flips): it
@@ -302,19 +309,14 @@ func (t *Tracer) Event(name string, at time.Duration, attrs ...string) {
 	if t == nil {
 		return
 	}
-	sp := Span{ID: t.nextID(), Name: name, Kind: "event", StartNS: int64(at)}
-	for i := 0; i+1 < len(attrs); i += 2 {
-		if sp.Attrs == nil {
-			sp.Attrs = map[string]string{}
-		}
-		sp.Attrs[attrs[i]] = attrs[i+1]
-	}
-	t.emit(sp)
+	var buf [spanInlineAttrs]attr
+	sp := Span{ID: t.nextID(), Name: name, Kind: "event", StartNS: int64(at),
+		attrs: attrsOf(buf[:0], attrs)}
+	t.emit(&sp)
 }
 
 // emit hands a completed span record to the sink.
-func (t *Tracer) emit(sp Span) {
-	sp.tr = nil
+func (t *Tracer) emit(sp *Span) {
 	t.emitted.Inc()
 	if t.sink != nil {
 		t.sink.Emit(sp)

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"time"
 
 	"rpcoib/internal/exec"
@@ -156,11 +157,39 @@ func newZipf(n int, theta float64) *zipf {
 	return z
 }
 
+// zetaMemo holds every zeta sum computed so far: each client of a run
+// builds its own generator over the same record count, and the sum is a
+// record-count-long loop of math.Pow. The mutex keeps harnesses running side
+// by side safe.
+var zetaMemo struct {
+	sync.Mutex
+	sums map[zetaKey]float64
+}
+
+type zetaKey struct {
+	n     int
+	theta float64
+}
+
+// zeta is the generalized harmonic number sum 1/i^theta for i in 1..n,
+// always summed in the same order, so a remembered value is the value.
 func zeta(n int, theta float64) float64 {
-	var sum float64
+	k := zetaKey{n, theta}
+	zetaMemo.Lock()
+	sum, ok := zetaMemo.sums[k]
+	zetaMemo.Unlock()
+	if ok {
+		return sum
+	}
 	for i := 1; i <= n; i++ {
 		sum += 1 / math.Pow(float64(i), theta)
 	}
+	zetaMemo.Lock()
+	if zetaMemo.sums == nil {
+		zetaMemo.sums = map[zetaKey]float64{}
+	}
+	zetaMemo.sums[k] = sum
+	zetaMemo.Unlock()
 	return sum
 }
 

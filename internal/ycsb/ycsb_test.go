@@ -3,6 +3,7 @@ package ycsb
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -71,6 +72,28 @@ func TestZetaMatchesDirectSum(t *testing.T) {
 	if got := zeta(50, 0.99); math.Abs(got-want) > 1e-9 {
 		t.Fatalf("zeta=%v want %v", got, want)
 	}
+}
+
+// A remembered zeta is the same float a fresh sum gives, and concurrent
+// harnesses may ask for it at once.
+func TestZetaMemoIsExact(t *testing.T) {
+	var want float64
+	for i := 1; i <= 5000; i++ {
+		want += 1 / math.Pow(float64(i), 0.75)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < 3; k++ {
+				if got := zeta(5000, 0.75); got != want {
+					t.Errorf("zeta=%v want exactly %v", got, want)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestRunAgainstHBase(t *testing.T) {
