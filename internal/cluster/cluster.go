@@ -45,18 +45,6 @@ type Config struct {
 	// e.g. "400ms"), else DefaultConnectTimeout — far below the real ipc
 	// 20 s so fault runs don't burn minutes of virtual time per dead dial.
 	ConnectTimeout time.Duration
-	// QPMuxPerPeer, when > 0, multiplexes RPCoIB connections over at most
-	// this many physical QPs per <client node, server address> pair: logical
-	// streams carry a stream id in the wire framing and attach to existing
-	// QPs without a verbs handshake (DESIGN.md S23). 0 keeps the historical
-	// dedicated-QP-per-connection behavior the paper measures.
-	QPMuxPerPeer int
-	// SRQDepth, when > 0, gives every device a shared receive queue of this
-	// many posted WQEs instead of unbounded per-endpoint posted recvs;
-	// arrivals that find it exhausted are RNR-delayed. SRQCreditPerQP caps
-	// WQEs held per endpoint (0 = no per-endpoint cap).
-	SRQDepth       int
-	SRQCreditPerQP int
 	// Topology lays nodes out over racks and gives each node Topology.IBRails
 	// independent native-IB rails, each a full fabric + verbs network of its
 	// own. The zero value is SingleRailTopology: one rail, byte-identical
@@ -99,12 +87,11 @@ type Cluster struct {
 	nodes   []*Node
 	fabrics map[perfmodel.LinkKind]*netsim.Fabric
 
-	// Per-rail native IB: rail i is ibFabrics[i]/ibnets[i] (and ibmuxes[i]
-	// under QP muxing). Rail 0 doubles as fabrics[perfmodel.NativeIB], so
-	// single-rail code paths see exactly the historical layout.
+	// Per-rail native IB: rail i is ibFabrics[i]/ibnets[i]. Rail 0 doubles
+	// as fabrics[perfmodel.NativeIB], so single-rail code paths see exactly
+	// the historical layout.
 	ibFabrics []*netsim.Fabric
 	ibnets    []*ibverbs.Network
-	ibmuxes   []*ibverbs.Mux // per rail, non-nil entries when QPMuxPerPeer > 0
 
 	frames framePool // the socket transports' frames (frames.go)
 }
@@ -162,23 +149,11 @@ func New(cfg Config) *Cluster {
 			f = netsim.NewFabric(s, perfmodel.Link(perfmodel.NativeIB), cpuOf)
 			f.SetConnectTimeout(cfg.ConnectTimeout)
 		}
-		net := ibverbs.NewNetwork(f, c.Costs, cfg.RDMAThreshold)
-		if cfg.SRQDepth > 0 {
-			net.SetSRQ(cfg.SRQDepth, cfg.SRQCreditPerQP)
-		}
-		var mux *ibverbs.Mux
-		if cfg.QPMuxPerPeer > 0 {
-			mux = ibverbs.NewMux(net, cfg.QPMuxPerPeer)
-		}
 		c.ibFabrics = append(c.ibFabrics, f)
-		c.ibnets = append(c.ibnets, net)
-		c.ibmuxes = append(c.ibmuxes, mux)
+		c.ibnets = append(c.ibnets, ibverbs.NewNetwork(f, c.Costs, cfg.RDMAThreshold))
 	}
 	return c
 }
-
-// IBMux returns rail 0's QP multiplexer, nil unless Config.QPMuxPerPeer > 0.
-func (c *Cluster) IBMux() *ibverbs.Mux { return c.ibmuxes[0] }
 
 // Topology returns the cluster's (defaulted) physical layout.
 func (c *Cluster) Topology() Topology { return c.Config.Topology }

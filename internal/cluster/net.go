@@ -4,26 +4,12 @@ import (
 	"errors"
 	"time"
 
-	"rpcoib/internal/bufpool"
 	"rpcoib/internal/exec"
 	"rpcoib/internal/ibverbs"
 	"rpcoib/internal/netsim"
 	"rpcoib/internal/perfmodel"
-	"rpcoib/internal/sim"
 	"rpcoib/internal/transport"
 )
-
-// verbsEP is the endpoint surface ibConn rides: either a dedicated
-// ibverbs.EndPoint (the paper's QP-per-connection design) or a logical
-// ibverbs.MuxEndpoint stream sharing a bounded physical QP set
-// (Config.QPMuxPerPeer, DESIGN.md S23).
-type verbsEP interface {
-	SendSized(p *sim.Proc, b *bufpool.Buffer, n, size int) error
-	Recv(p *sim.Proc) ([]byte, func(), error)
-	WireTime(n int) time.Duration
-	Close()
-	RemoteAddr() string
-}
 
 // SocketNet returns a node-bound transport.Network over one of the TCP-like
 // fabrics (1GigE, 10GigE, or IPoIB).
@@ -201,11 +187,6 @@ func (n *ibNet) Listen(e exec.Env, port int) (transport.Listener, error) {
 			return nil, err
 		}
 		l.ibLns = append(l.ibLns, ibLn)
-		var muxLn *ibverbs.MuxListener
-		if n.c.ibmuxes[rail] != nil {
-			muxLn = n.c.ibmuxes[rail].NewListener(ibLn)
-		}
-		l.muxLns = append(l.muxLns, muxLn)
 	}
 	e.Spawn("rpcoib-bootstrap:"+sockLn.Addr(), l.bootstrapLoop)
 	for rail := range l.ibLns {
@@ -257,14 +238,7 @@ func (n *ibNet) DialRail(e exec.Env, addr string, rail int) (transport.Conn, err
 	if _, err := sc.Recv(p); err != nil { // server's endpoint info / ack
 		return nil, err
 	}
-	var ep verbsEP
-	if mux := n.c.ibmuxes[rail]; mux != nil {
-		// Muxed path: attach a logical stream; only the first QPMuxPerPeer
-		// dials to this address pay the verbs QP handshake.
-		ep, err = mux.Dial(p, n.node, addr)
-	} else {
-		ep, err = n.c.ibnets[rail].Dial(p, n.node, addr)
-	}
+	ep, err := n.c.ibnets[rail].Dial(p, n.node, addr)
 	if err != nil {
 		return nil, err
 	}
@@ -323,9 +297,8 @@ func (n *ibNet) railOrder(addr string) []int {
 type ibListener struct {
 	c      *Cluster
 	sockLn *netsim.Listener
-	ibLns  []*ibverbs.EPListener  // one verbs listener per rail
-	muxLns []*ibverbs.MuxListener // per rail, non-nil entries when muxing is on
-	ready  exec.Queue             // accepted transport.Conns (verbs and fallback sockets)
+	ibLns  []*ibverbs.EPListener // one verbs listener per rail
+	ready  exec.Queue            // accepted transport.Conns (verbs and fallback sockets)
 }
 
 // bootstrapLoop accepts connections on the IPoIB bootstrap channel. Each one
@@ -373,15 +346,8 @@ func (l *ibListener) handshake(e exec.Env, sc *netsim.SocketConn) {
 func (l *ibListener) ibAcceptLoop(e exec.Env, rail int) {
 	p := ProcOf(e)
 	ibLn := l.ibLns[rail]
-	muxLn := l.muxLns[rail]
 	for {
-		var ep verbsEP
-		var err error
-		if muxLn != nil {
-			ep, err = muxLn.Accept(p)
-		} else {
-			ep, err = ibLn.Accept(p)
-		}
+		ep, err := ibLn.Accept(p)
 		if err != nil {
 			return
 		}
@@ -409,11 +375,10 @@ func (l *ibListener) Close() {
 
 func (l *ibListener) Addr() string { return l.sockLn.Addr() }
 
-// ibConn adapts a verbs endpoint — dedicated or muxed — to transport.Conn
-// (+ PooledSender).
+// ibConn adapts a verbs endpoint to transport.Conn (+ PooledSender).
 type ibConn struct {
 	c   *Cluster
-	ep  verbsEP
+	ep  *ibverbs.EndPoint
 	dev *ibverbs.Device
 }
 

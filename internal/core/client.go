@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -429,7 +428,7 @@ func (c *Client) issue(e exec.Env, addr, protocol, method string, param, reply w
 		// histograms observe, re-emitted as causal child spans.
 		tr.Child(span, "client.serialize", "client", sendStart, st.serialize)
 		tr.Child(span, "client.send", "client", sendStart+st.serialize, st.send,
-			"bytes", strconv.Itoa(st.bytes))
+			tracing.Int("bytes", int64(st.bytes)))
 	}
 	c.m.bytesOut.Add(int64(st.bytes))
 	kind.observe(st)

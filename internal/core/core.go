@@ -260,8 +260,14 @@ func traceWireOf(sp *tracing.Span) traceWire {
 }
 
 // encodeRequestHeader writes the header of a call of kind, whose protocol and
-// method names were encoded when the kind was resolved.
+// method names were encoded when the kind was resolved. A negative deadline
+// goes out as 0, none: the field's sign marks a traced call, so a negative
+// one would make the server read the names from where a trace triple goes,
+// and the server treats any deadline <= 0 as none anyway.
 func encodeRequestHeader(out *wire.DataOutput, id int32, deadline time.Duration, tw traceWire, kind *clientKind) {
+	if deadline < 0 {
+		deadline = 0
+	}
 	out.WriteInt32(id)
 	if tw.trace == 0 {
 		out.WriteVLong(int64(deadline))

@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -285,9 +284,9 @@ func (s *Server) readerLoop(e exec.Env, conn transport.Conn) {
 			// window, with the Figure-1 allocation share and the inbound wire
 			// occupancy as annotations.
 			s.opts.Trace.Child(call.span, "server.recv", "server", t0, procDur,
-				"alloc_ns", strconv.FormatInt(int64(allocDur), 10),
-				"wire_ns", strconv.FormatInt(int64(wireDur), 10),
-				"bytes", strconv.Itoa(n))
+				tracing.Int("alloc_ns", int64(allocDur)),
+				tracing.Int("wire_ns", int64(wireDur)),
+				tracing.Int("bytes", int64(n)))
 		}
 		s.work(e, cost.ThreadHandoff)
 		if call.deadline > 0 && e.Now() >= call.deadline {

@@ -58,23 +58,8 @@ type Network struct {
 	threshold int
 	devices   map[int]*Device
 	listeners map[string]*EPListener
-	srqDepth  int
-	srqPerEP  int
 	m         netInstruments
 	tr        *tracing.Tracer
-}
-
-// SetSRQ configures a shared receive queue (depth WQEs, perEPCredit per
-// endpoint) on every device — already-open and future ones. Devices keep
-// their individual budgets out of this path; use Device.ConfigureSRQ to cap
-// one server's registered bytes.
-func (n *Network) SetSRQ(depth, perEPCredit int) {
-	n.srqDepth, n.srqPerEP = depth, perEPCredit
-	for _, d := range n.devices {
-		if d.srq == nil {
-			d.ConfigureSRQ(depth, perEPCredit, nil)
-		}
-	}
 }
 
 // NewNetwork creates a verbs network over fabric. threshold <= 0 selects
@@ -98,9 +83,6 @@ func (n *Network) Device(node int) *Device {
 	if !ok {
 		d = &Device{fabric: n.fabric, node: node, costs: n.costs,
 			threshold: n.threshold, recvPool: bufpool.NewNativePool(0), m: n.m, tr: n.tr}
-		if n.srqDepth > 0 {
-			d.ConfigureSRQ(n.srqDepth, n.srqPerEP, nil)
-		}
 		n.devices[node] = d
 	}
 	return d
@@ -129,7 +111,6 @@ type Device struct {
 	costs      *perfmodel.CPUCosts
 	threshold  int
 	recvPool   *bufpool.NativePool
-	srq        *SRQ // optional shared-receive-queue WQE accounting (S23)
 	stats      Stats
 	m          netInstruments
 	tr         *tracing.Tracer
@@ -137,37 +118,17 @@ type Device struct {
 	freeMsgs   []*recvMsg
 }
 
-// ConfigureSRQ attaches a shared receive queue to the device: depth posted
-// WQEs shared by every endpoint, at most perEPCredit held by any one
-// endpoint. Arriving messages that find the queue (or their endpoint's
-// credit) exhausted are RNR-delayed by SRQRNRDelay, exactly like a sender's
-// rnr_timer retry. When budget is non-nil the server's registered-byte cap
-// is mirrored onto the receive pool, so oversized registrations degrade
-// through the pool's denied/unregistered slow path instead of growing.
-func (d *Device) ConfigureSRQ(depth, perEPCredit int, budget *MemoryBudget) {
-	d.srq = NewSRQ(depth, perEPCredit, 0, budget)
-	if budget != nil && budget.Cap() > 0 {
-		d.recvPool.SetRegisteredLimit(budget.Cap())
-	}
-}
-
-// SRQ returns the device's shared receive queue, nil when unconfigured.
-func (d *Device) SRQ() *SRQ { return d.srq }
-
-// reclaim returns one reception's buffer to the device pool and reposts its
-// SRQ WQE — the single exit for every delivery path (consumer release,
-// teardown, delivery to a closed endpoint, loss). The record itself goes back
-// on the device's free list, so nothing may touch msg afterwards.
+// reclaim returns one reception's buffer to the device pool — the single
+// exit for every delivery path (consumer release, teardown, delivery to a
+// closed endpoint, loss). The record itself goes back on the device's free
+// list, so nothing may touch msg afterwards.
 func (d *Device) reclaim(msg *recvMsg) {
 	if msg.buf == nil {
 		panic("ibverbs: reception released twice")
 	}
 	d.recvPool.Put(msg.buf)
 	d.m.postedRecvs.Dec()
-	if msg.cr != nil {
-		d.srq.Release(msg.cr)
-	}
-	msg.buf, msg.cr, msg.to, msg.from = nil, nil, nil, nil
+	msg.buf, msg.to, msg.from = nil, nil, nil
 	d.freeMsgs = append(d.freeMsgs, msg)
 }
 
@@ -197,28 +158,22 @@ func (d *Device) StallCQ(until time.Duration) {
 // receiving device's free list with their callbacks bound once, so a message
 // costs no closure and no boxing.
 type recvMsg struct {
-	buf    *bufpool.Buffer
-	n      int
-	wire   int        // virtual wire size (>= n for bulk sends)
-	eager  bool       // two-sided delivery into a bounce buffer (copy on receive)
-	stream uint64     // logical stream id on a muxed QP (0 = unmuxed)
-	ctrl   byte       // muxData or muxClose
-	cr     *SRQCredit // shared-receive-queue WQE held by this reception
+	buf   *bufpool.Buffer
+	n     int
+	wire  int  // virtual wire size (>= n for bulk sends)
+	eager bool // two-sided delivery into a bounce buffer (copy on receive)
 
-	to, from *EndPoint     // receiving and sending ends
-	seq      int           // position in the sender's posting order
-	rnr      time.Duration // RNR retry delay the arrival pays
+	to, from *EndPoint // receiving and sending ends
+	seq      int       // position in the sender's posting order
 
-	arrived   func() // m.arrive: the last byte is at the receiver
-	delivered func() // m.deliver: arrival after the RNR delay
-	granted   func() // m.writePayload: the rendezvous control message landed
-	lost      func() // m.lose
-	release   func() // m.reclaim: the consumer is done with the buffer
+	arrived func() // m.deliver: the last byte is at the receiver
+	granted func() // m.writePayload: the rendezvous control message landed
+	lost    func() // m.lose
+	release func() // m.reclaim: the consumer is done with the buffer
 }
 
-// newRecv takes a reception record for the next message from ep to its peer:
-// it assigns the message's place in the posting order and claims the peer's
-// shared-receive-queue WQE, as the send path always has before anything else.
+// newRecv takes a reception record for the next message from ep to its peer
+// and assigns the message's place in the posting order.
 func (ep *EndPoint) newRecv() *recvMsg {
 	d := ep.peer.dev
 	var m *recvMsg
@@ -227,13 +182,12 @@ func (ep *EndPoint) newRecv() *recvMsg {
 		d.freeMsgs = d.freeMsgs[:k-1]
 	} else {
 		m = &recvMsg{}
-		m.arrived, m.delivered, m.granted = m.arrive, m.deliver, m.writePayload
+		m.arrived, m.granted = m.deliver, m.writePayload
 		m.lost, m.release = m.lose, m.reclaim
 	}
 	m.to, m.from = ep.peer, ep
 	m.seq = ep.sendSeq
 	ep.sendSeq++
-	m.cr, m.rnr = ep.peer.srqConsume()
 	return m
 }
 
@@ -244,16 +198,6 @@ func (m *recvMsg) post(data []byte) {
 	m.buf, m.n = d.recvPool.Get(len(data)), len(data)
 	d.m.postedRecvs.Inc()
 	copy(m.buf.Data, data)
-}
-
-// arrive honors an RNR retry delay: the retransmitted message lands rnr
-// later, and the seq-ordered reorder buffer restores posting order around it.
-func (m *recvMsg) arrive() {
-	if m.rnr <= 0 {
-		m.deliver()
-		return
-	}
-	m.to.dev.fabric.Sim().After(m.rnr, m.delivered)
 }
 
 func (m *recvMsg) deliver() { m.to.deliver(m) }
@@ -345,27 +289,10 @@ type EndPoint struct {
 	recvQ  *sim.Queue
 	closed bool
 	remote string
-	cr     *SRQCredit // this end's account against the device SRQ, if any
 
 	sendSeq int              // sequence assigned at Send on this end
 	nextSeq int              // next sequence to release to recvQ
 	pending map[int]*recvMsg // arrived out of order
-}
-
-// srqConsume claims a shared-receive-queue WQE for a message arriving at
-// this endpoint, returning the credit to release on reclaim and the RNR
-// retry delay the sender pays when the queue or credit was exhausted.
-// Called from the sender's context — the sender observes the receiver's
-// posted-WQE state exactly as a real HCA does through RNR NAKs.
-func (ep *EndPoint) srqConsume() (*SRQCredit, time.Duration) {
-	srq := ep.dev.srq
-	if srq == nil || ep.closed {
-		return nil, 0
-	}
-	if ep.cr == nil {
-		ep.cr = srq.Attach()
-	}
-	return ep.cr, srq.Consume(ep.cr)
 }
 
 // teardown closes this end locally and reclaims every buffered reception —
@@ -396,10 +323,6 @@ func (ep *EndPoint) teardown() {
 		ep.pending = nil
 	}
 	ep.recvQ.Close()
-	if ep.cr != nil {
-		ep.dev.srq.Detach(ep.cr)
-		ep.cr = nil
-	}
 }
 
 // fault transitions the queue pair to the error state: an RC QP that
@@ -419,7 +342,7 @@ func (ep *EndPoint) deliver(msg *recvMsg) {
 		return
 	}
 	if msg.seq != ep.nextSeq {
-		// Overtook an earlier rendezvous or RNR-delayed send: park it.
+		// Overtook an earlier rendezvous send: park it.
 		if ep.pending == nil {
 			ep.pending = map[int]*recvMsg{}
 		}
@@ -503,17 +426,6 @@ func (ep *EndPoint) Send(p *sim.Proc, b *bufpool.Buffer, n int) error {
 // and the eager/RDMA decision for size virtual bytes (bulk data paths send
 // headers with virtual payloads; see netsim.SocketConn.SendSized).
 func (ep *EndPoint) SendSized(p *sim.Proc, b *bufpool.Buffer, n, size int) error {
-	return ep.sendMsg(p, b, n, size, 0, muxData, 0)
-}
-
-// sendMsg is the common send path: stream/ctrl tag the message for a muxed
-// QP (hdr bills the stream-id framing as extra wire bytes, the same way
-// eagerHeader bills the verbs header), and when the receiving device has an
-// SRQ the message consumes one shared WQE — arriving SRQRNRDelay late if the
-// queue or the endpoint's credit was exhausted, exactly like a sender
-// retrying on an RNR NAK. The in-order reorder buffer on the receive side
-// keeps delivery sequence intact even when only some messages are delayed.
-func (ep *EndPoint) sendMsg(p *sim.Proc, b *bufpool.Buffer, n, size int, stream uint64, ctrl byte, hdr int) error {
 	if ep.closed {
 		return ErrClosed
 	}
@@ -536,7 +448,7 @@ func (ep *EndPoint) sendMsg(p *sim.Proc, b *bufpool.Buffer, n, size int, stream 
 	dev.fabric.ChargeCPU(p, dev.node, dev.costs.VerbsPost)
 	peer := ep.peer
 	msg := ep.newRecv()
-	msg.wire, msg.stream, msg.ctrl = size, stream, ctrl
+	msg.wire = size
 	msg.eager = size <= dev.threshold
 	if msg.eager {
 		dev.stats.EagerSends++
@@ -548,7 +460,7 @@ func (ep *EndPoint) sendMsg(p *sim.Proc, b *bufpool.Buffer, n, size int, stream 
 			dev.m.inlineSends.Inc()
 		}
 		msg.post(b.Data[:n])
-		dev.fabric.TransferLossy(dev.node, peer.dev.node, size+eagerHeader+hdr, msg.arrived, msg.lost)
+		dev.fabric.TransferLossy(dev.node, peer.dev.node, size+eagerHeader, msg.arrived, msg.lost)
 		return nil
 	}
 	dev.stats.RDMASends++
@@ -558,7 +470,7 @@ func (ep *EndPoint) sendMsg(p *sim.Proc, b *bufpool.Buffer, n, size int, stream 
 	dev.fabric.ChargeCPU(p, dev.node, dev.costs.VerbsPost) // the later RDMA-write post
 	msg.post(b.Data[:n])
 	// Rendezvous: control message first, then the one-sided payload write.
-	dev.fabric.TransferLossy(dev.node, peer.dev.node, ctrlBytes+hdr, msg.granted, msg.lost)
+	dev.fabric.TransferLossy(dev.node, peer.dev.node, ctrlBytes, msg.granted, msg.lost)
 	return nil
 }
 
@@ -566,17 +478,9 @@ func (ep *EndPoint) sendMsg(p *sim.Proc, b *bufpool.Buffer, n, size int, stream 
 // receive buffer. release reposts the buffer; it must be called exactly once
 // when the consumer is done with data.
 func (ep *EndPoint) Recv(p *sim.Proc) (data []byte, release func(), err error) {
-	data, release, _, _, err = ep.RecvMsg(p)
-	return data, release, err
-}
-
-// RecvMsg is Recv plus the mux framing: the logical stream id and control
-// kind carried by the message (zero for unmuxed endpoints). The demux pump
-// of a muxed QP consumes completions here and routes them per stream.
-func (ep *EndPoint) RecvMsg(p *sim.Proc) (data []byte, release func(), stream uint64, ctrl byte, err error) {
 	v, ok := ep.recvQ.Get(p)
 	if !ok {
-		return nil, nil, 0, 0, ErrClosed
+		return nil, nil, ErrClosed
 	}
 	msg := v.(*recvMsg)
 	dev := ep.dev
@@ -595,7 +499,7 @@ func (ep *EndPoint) RecvMsg(p *sim.Proc) (data []byte, release func(), stream ui
 		cost += dev.costs.Copy(msg.wire)
 	}
 	dev.fabric.ChargeCPU(p, dev.node, cost)
-	return msg.buf.Data[:msg.n], msg.release, msg.stream, msg.ctrl, nil
+	return msg.buf.Data[:msg.n], msg.release, nil
 }
 
 // WireTime reports the fabric occupancy of an n-byte message.

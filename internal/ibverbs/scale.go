@@ -1,21 +1,20 @@
-// Connection scale-out primitives (DESIGN.md S23): the per-connection QP +
+// Connection scale-out accounting (DESIGN.md S23): the per-connection QP +
 // pre-posted-recv-buffer footprint of the paper's design is linear in client
 // count, which is the wall RDMAvisor (PAPERS.md) attacks with shared,
-// multiplexed RDMA resources. Three primitives make the footprint sublinear:
+// multiplexed RDMA resources. Three accounting primitives let the NameNode
+// hammer (internal/bench) bound that footprint; the verbs endpoints in
+// ibverbs.go keep the paper's one QP per connection:
 //
-//   - SRQ: one shared receive queue per device. A bounded pool of posted
-//     receive WQEs (each backed by one registered buffer) serves every
-//     endpoint on the device, with per-endpoint credit accounting so a single
-//     hot peer cannot starve the rest. Exhaustion behaves like hardware:
-//     the would-be receiver RNR-NAKs and the sender retries after a fixed
-//     delay (the verbs rnr_timer), or — at the RPC layer — admission control
-//     sheds the call through the S19 busy/backoff path before a WQE is
-//     consumed.
+//   - SRQ: a shared receive queue. A bounded pool of posted receive WQEs
+//     (each backed by one registered buffer) serves every attached client,
+//     with per-client credit accounting so a single hot peer cannot starve
+//     the rest. Exhaustion is admission control: TryConsume refuses and the
+//     caller sheds the call through the S19 busy/backoff path before a WQE
+//     is consumed.
 //
 //   - QPMux: a bounded table of physical queue pairs multiplexing many
-//     logical streams (see mux.go for the endpoint machinery). The table is
-//     pure accounting — which stream rides which QP — so the same structure
-//     backs both real muxed endpoints and the event-driven scale scenarios.
+//     logical streams. The table is pure accounting — which stream rides
+//     which QP — with no framed streams on the wire.
 //
 //   - MemoryBudget: a per-server cap on registered bytes. The SRQ reserves
 //     its buffer pool from the budget at construction (clamping its depth to
@@ -31,16 +30,9 @@ package ibverbs
 
 import (
 	"sync"
-	"time"
 
 	"rpcoib/internal/metrics"
 )
-
-// SRQRNRDelay is the modeled receiver-not-ready retry delay: when a message
-// arrives and the shared receive queue (or the endpoint's credit) is
-// exhausted, delivery is delayed by this much per RNR, mirroring the
-// sender's rnr_timer-driven retransmission.
-const SRQRNRDelay = 20 * time.Microsecond
 
 // Metric family names, as package-level consts for the rpcoiblint
 // metricnames analyzer's golden-file enumeration.
@@ -375,8 +367,8 @@ func (q *SRQ) Detach(c *SRQCredit) {
 }
 
 // TryConsume claims one posted WQE for c, refusing (without consuming) when
-// the shared queue or the credit is exhausted — the admission-control form:
-// the caller sheds the message through the busy path instead.
+// the shared queue or the credit is exhausted: the caller sheds the message
+// through the busy path instead.
 func (q *SRQ) TryConsume(c *SRQCredit) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -388,31 +380,6 @@ func (q *SRQ) TryConsume(c *SRQCredit) bool {
 		q.cCredRNR.Inc()
 		return false
 	}
-	q.consumeLocked(c)
-	return true
-}
-
-// Consume claims one posted WQE for c unconditionally, returning the RNR
-// delay the sender pays when the queue (or credit) was exhausted — the
-// hardware form: the message is not lost, its retransmission just arrives
-// SRQRNRDelay later. Posted may transiently exceed depth by the messages
-// parked in RNR retry; the peak gauge records it.
-func (q *SRQ) Consume(c *SRQCredit) time.Duration {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	var delay time.Duration
-	if q.posted >= q.depth {
-		q.cRNR.Inc()
-		delay = SRQRNRDelay
-	} else if q.perEP > 0 && c != nil && c.held >= q.perEP {
-		q.cCredRNR.Inc()
-		delay = SRQRNRDelay
-	}
-	q.consumeLocked(c)
-	return delay
-}
-
-func (q *SRQ) consumeLocked(c *SRQCredit) {
 	q.posted++
 	if c != nil {
 		c.held++
@@ -423,6 +390,7 @@ func (q *SRQ) consumeLocked(c *SRQCredit) {
 	}
 	q.gPosted.Set(int64(q.posted))
 	q.cConsumed.Inc()
+	return true
 }
 
 // Release reposts one WQE consumed by c (the receiver copied the data out or

@@ -117,15 +117,6 @@ func TestSRQConsumeModes(t *testing.T) {
 	if q.Posted() != 2 || q.PostedPeak() != 2 {
 		t.Fatalf("posted=%d peak=%d", q.Posted(), q.PostedPeak())
 	}
-	// The hardware form never refuses; it charges the RNR retry delay and
-	// lets posted overdraw transiently.
-	if d := q.Consume(nil); d != SRQRNRDelay {
-		t.Fatalf("overdraw delay = %v, want %v", d, SRQRNRDelay)
-	}
-	if q.Posted() != 3 || q.PostedPeak() != 3 {
-		t.Fatalf("after overdraw posted=%d peak=%d", q.Posted(), q.PostedPeak())
-	}
-	q.Release(nil)
 	q.Release(a)
 	q.Release(b)
 	if q.Posted() != 0 || a.Held() != 0 {
@@ -182,178 +173,6 @@ func TestQPMuxAssignment(t *testing.T) {
 	q3, new3 := m.Attach()
 	if q3 != 0 || new3 {
 		t.Fatalf("reattach = qp %d (new=%v), want the drained slot 0 reused", q3, new3)
-	}
-}
-
-// TestDeviceSRQOverdrawRNR drives a device-level SRQ past its depth: sends
-// keep landing (the RNR retry form), posted peaks above depth, and once the
-// receiver drains everything the queue reposts back to zero with the device
-// pool balanced.
-func TestDeviceSRQOverdrawRNR(t *testing.T) {
-	s := sim.New(1)
-	fabric := netsim.NewFabric(s, perfmodel.Link(perfmodel.NativeIB), nil)
-	net := NewNetwork(fabric, perfmodel.DefaultCPU(), 0)
-	net.SetSRQ(2, 0)
-	ln, err := net.Listen(0, 18515)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var server *EndPoint
-	s.Spawn("accept", func(p *sim.Proc) {
-		server, _ = ln.Accept(p)
-	})
-	s.Spawn("driver", func(p *sim.Proc) {
-		client, err := net.Dial(p, 1, ln.Addr())
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		p.Yield()
-		const n = 6
-		for i := 0; i < n; i++ {
-			b := client.dev.recvPool.Get(8)
-			b.Data[0] = byte(i)
-			if err := client.Send(p, b, 8); err != nil {
-				t.Error(err)
-				return
-			}
-			client.dev.recvPool.Put(b)
-		}
-		srq := server.dev.SRQ()
-		if srq.PostedPeak() <= srq.Depth() {
-			t.Errorf("posted peak %d never overdrew depth %d", srq.PostedPeak(), srq.Depth())
-		}
-		for i := 0; i < n; i++ {
-			data, release, err := server.Recv(p)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if data[0] != byte(i) {
-				t.Errorf("msg %d tagged %d: RNR retries must not reorder", i, data[0])
-			}
-			release()
-		}
-		if srq.Posted() != 0 {
-			t.Errorf("posted=%d after full drain", srq.Posted())
-		}
-		client.Close()
-	})
-	s.Run()
-	st := net.Device(0).RecvPool().StatsSnapshot()
-	if st.Gets != st.Puts {
-		t.Fatalf("server pool gets=%d puts=%d", st.Gets, st.Puts)
-	}
-}
-
-// muxEcho wires a Mux listener whose accepted streams echo one message back,
-// then runs fn on the dialing side.
-func muxEcho(t *testing.T, perPeer int, fn func(p *sim.Proc, s *sim.Sim, m *Mux, addr string)) *Mux {
-	t.Helper()
-	s := sim.New(1)
-	fabric := netsim.NewFabric(s, perfmodel.Link(perfmodel.NativeIB), nil)
-	net := NewNetwork(fabric, perfmodel.DefaultCPU(), 0)
-	m := NewMux(net, perPeer)
-	ln, err := net.Listen(0, 18515)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ml := m.NewListener(ln)
-	s.Spawn("echo-accept", func(p *sim.Proc) {
-		for {
-			me, err := ml.Accept(p)
-			if err != nil {
-				return
-			}
-			s.Spawn("echo:"+me.RemoteAddr(), func(ep *sim.Proc) {
-				for {
-					data, release, err := me.Recv(ep)
-					if err != nil {
-						return
-					}
-					n := len(data)
-					b := net.Device(0).RecvPool().Get(n)
-					copy(b.Data, data)
-					release()
-					if err := me.SendSized(ep, b, n, n); err != nil {
-						net.Device(0).RecvPool().Put(b)
-						return
-					}
-					net.Device(0).RecvPool().Put(b)
-				}
-			})
-		}
-	})
-	s.Spawn("driver", func(p *sim.Proc) { fn(p, s, m, ln.Addr()) })
-	s.Run()
-	return m
-}
-
-// TestMuxSharesPhysicalQPs opens more logical streams than the per-peer QP
-// cap and proves they all work over the bounded QP set, that closing one
-// stream leaves its QP-mates running, and that every registered buffer goes
-// home.
-func TestMuxSharesPhysicalQPs(t *testing.T) {
-	const perPeer, nStreams = 2, 5
-	var net *Network
-	m := muxEcho(t, perPeer, func(p *sim.Proc, s *sim.Sim, m *Mux, addr string) {
-		net = m.net
-		eps := make([]*MuxEndpoint, nStreams)
-		for i := range eps {
-			ep, err := m.Dial(p, 1, addr)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			eps[i] = ep
-		}
-		// Both sides of each physical QP count once: perPeer on the dialer,
-		// perPeer accepted.
-		if m.QPs() != 2*perPeer {
-			t.Errorf("qps=%d, want %d", m.QPs(), 2*perPeer)
-		}
-		echo := func(ep *MuxEndpoint, tag byte) {
-			b := net.Device(1).RecvPool().Get(8)
-			b.Data[0] = tag
-			if err := ep.SendSized(p, b, 8, 8); err != nil {
-				t.Error(err)
-				return
-			}
-			net.Device(1).RecvPool().Put(b)
-			data, release, err := ep.Recv(p)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if data[0] != tag {
-				t.Errorf("stream %s echoed tag %d, want %d", ep.RemoteAddr(), data[0], tag)
-			}
-			release()
-		}
-		for i, ep := range eps {
-			echo(ep, byte(i))
-		}
-		// Closing one stream must not disturb the others on the same QP.
-		eps[0].Close()
-		if _, _, err := eps[0].Recv(p); err == nil {
-			t.Error("recv on a closed stream must fail")
-		}
-		for i, ep := range eps[1:] {
-			echo(ep, byte(0x40+i))
-		}
-		for _, ep := range eps[1:] {
-			ep.Close()
-		}
-		p.Sleep(time.Millisecond) // let close notifications land
-	})
-	if m.Streams() != 0 {
-		t.Fatalf("streams=%d after closing everything", m.Streams())
-	}
-	for node := 0; node <= 1; node++ {
-		st := net.Device(node).RecvPool().StatsSnapshot()
-		if st.Gets != st.Puts {
-			t.Fatalf("node %d pool gets=%d puts=%d", node, st.Gets, st.Puts)
-		}
 	}
 }
 

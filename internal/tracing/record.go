@@ -5,28 +5,37 @@ import (
 	"unicode/utf8"
 )
 
-// attr is one span annotation.
-type attr struct{ k, v string }
+// Attr is one span annotation: a string, or an integer that the sink writes
+// itself as the quoted decimal strconv.FormatInt gives, so the record holds
+// the same string attribute and the caller formats nothing.
+type Attr struct {
+	k, v  string
+	n     int64
+	isInt bool
+}
+
+// Int annotates a span with key k and integer value n.
+func Int(k string, n int64) Attr { return Attr{k: k, n: n, isInt: true} }
 
 // spanInlineAttrs is how many attributes a span holds without an allocation
 // of their own: the engine's richest span, client.call, carries five.
 const spanInlineAttrs = 6
 
-// setAttr sets k to v in as, which is kept sorted by key with each key once —
-// the order encoding/json writes a map in. A repeated key overwrites the
-// earlier value, as a map assignment does.
-func setAttr(as []attr, k, v string) []attr {
+// setAttr sets a in as, which is kept sorted by key with each key once — the
+// order encoding/json writes a map in. A repeated key overwrites the earlier
+// value, as a map assignment does.
+func setAttr(as []Attr, a Attr) []Attr {
 	i := 0
-	for i < len(as) && as[i].k < k {
+	for i < len(as) && as[i].k < a.k {
 		i++
 	}
-	if i < len(as) && as[i].k == k {
-		as[i].v = v
+	if i < len(as) && as[i].k == a.k {
+		as[i] = a
 		return as
 	}
-	as = append(as, attr{})
+	as = append(as, Attr{})
 	copy(as[i+1:], as[i:])
-	as[i] = attr{k, v}
+	as[i] = a
 	return as
 }
 
@@ -34,9 +43,9 @@ func setAttr(as []attr, k, v string) []attr {
 // build their set in an array on their own stack, beside the span: an array
 // inside the span would make the span point at itself and move it to the
 // heap.
-func attrsOf(as []attr, kv []string) []attr {
+func attrsOf(as []Attr, kv []string) []Attr {
 	for i := 0; i+1 < len(kv); i += 2 {
-		as = setAttr(as, kv[i], kv[i+1])
+		as = setAttr(as, Attr{k: kv[i], v: kv[i+1]})
 	}
 	return as
 }
@@ -72,7 +81,13 @@ func appendRecord(b []byte, sp *Span) []byte {
 			}
 			b = appendString(b, a.k)
 			b = append(b, ':')
-			b = appendString(b, a.v)
+			if a.isInt {
+				b = append(b, '"')
+				b = strconv.AppendInt(b, a.n, 10)
+				b = append(b, '"')
+			} else {
+				b = appendString(b, a.v)
+			}
 		}
 		b = append(b, '}')
 	}

@@ -68,14 +68,14 @@ type Span struct {
 
 	tr    *Tracer
 	root  bool
-	attrs []attr // sorted by key
+	attrs []Attr // sorted by key
 }
 
 // liveSpan is what Start allocates: the span and, in the same object, the
 // array its first attributes live in, which a decoded Span does without.
 type liveSpan struct {
 	Span
-	inline [spanInlineAttrs]attr
+	inline [spanInlineAttrs]Attr
 }
 
 // Context returns the span's propagation context (zero on nil).
@@ -99,7 +99,7 @@ func (s *Span) SetAttr(k, v string) {
 	if s == nil {
 		return
 	}
-	s.attrs = setAttr(s.attrs, k, v)
+	s.attrs = setAttr(s.attrs, Attr{k: k, v: v})
 }
 
 // EndAt stamps the span's duration against the caller's clock and emits it.
@@ -287,17 +287,21 @@ func (t *Tracer) Flush() {
 }
 
 // Child emits a completed child stage span under parent: start/dur are the
-// stage's measured window, attrs alternate key, value. No-op when the tracer
-// or parent is nil, so unsampled calls cost one branch per stage.
-func (t *Tracer) Child(parent *Span, name, kind string, start, dur time.Duration, attrs ...string) {
+// stage's measured window. No-op when the tracer or parent is nil, so
+// unsampled calls cost one branch per stage.
+func (t *Tracer) Child(parent *Span, name, kind string, start, dur time.Duration, attrs ...Attr) {
 	if t == nil || parent == nil {
 		return
 	}
-	var buf [spanInlineAttrs]attr
+	var buf [spanInlineAttrs]Attr
+	as := buf[:0]
+	for _, a := range attrs {
+		as = setAttr(as, a)
+	}
 	sp := Span{
 		Trace: parent.Trace, ID: t.nextID(), Parent: parent.ID,
 		Name: name, Kind: kind, StartNS: int64(start), DurNS: int64(dur),
-		attrs: attrsOf(buf[:0], attrs),
+		attrs: as,
 	}
 	t.emit(&sp)
 }
@@ -309,7 +313,7 @@ func (t *Tracer) Event(name string, at time.Duration, attrs ...string) {
 	if t == nil {
 		return
 	}
-	var buf [spanInlineAttrs]attr
+	var buf [spanInlineAttrs]Attr
 	sp := Span{ID: t.nextID(), Name: name, Kind: "event", StartNS: int64(at),
 		attrs: attrsOf(buf[:0], attrs)}
 	t.emit(&sp)

@@ -39,7 +39,7 @@ func TestSameSeedTracersAreByteIdentical(t *testing.T) {
 			at := time.Duration(i) * time.Millisecond
 			root := tr.Start("client.call", "client", SpanContext{}, at)
 			root.SetAttr("method", "ping")
-			tr.Child(root, "client.send", "client", at, time.Microsecond, "bytes", "128")
+			tr.Child(root, "client.send", "client", at, time.Microsecond, Int("bytes", 128))
 			srv := tr.Start("server.call", "server", root.Context(), at+time.Microsecond)
 			srv.EndAt(time.Duration(i+1) * time.Millisecond)
 			root.EndAt(time.Duration(i+1) * time.Millisecond)
